@@ -1,38 +1,45 @@
-"""Batched struct-of-arrays fast path for the single-core engine.
+"""Flat struct-of-arrays simulation engine.
 
-``simulate_batched`` produces **bit-identical** results to the scalar
-engine in :mod:`repro.sim.single_core` (same counters, traffic, cycles,
-metadata statistics and partition history) while running several times
-faster.  The speed comes from four structural changes, none of which
-alters simulated behaviour:
+:func:`simulate_batched` is the single-core driver and
+:func:`repro.sim.multi_core.simulate_multicore` the multi-core one; both
+step cores built by :func:`_build_core` over a :class:`_FlatLLC`.
+Results are **bit-identical** to the object-graph engines in
+:mod:`repro.sim.single_core` and :mod:`repro.sim.multi_core` (same
+counters, traffic, cycles, metadata statistics and partition history)
+while running several times faster.  The speed comes from four
+structural changes, none of which alters simulated behaviour:
 
 * **Trace pre-decode** -- the byte-address/PC/is-write streams are
   decoded once up front with ``numpy`` (line addresses, run-length
   analysis) instead of per access.
 * **Flat dict caches** -- each cache set becomes a plain insertion-
   ordered ``dict`` whose order *is* the LRU order (hits re-insert, the
-  victim is ``next(iter(set_dict))``), collapsing the scalar engine's
+  victim is ``next(iter(set_dict))``), collapsing the object engine's
   Cache/policy/CacheLine object machinery into a handful of dict ops.
   LLC values carry their way id so Triage's way partitioning can evict
   exactly the deactivated ways, like ``Cache.set_active_ways``.
 * **Run-length bulk blocks** -- consecutive repeats of the same
   ``(pc, line, is_write)`` triple after the first access are pure L1
-  hits with no state change beyond three counters; the pre-decode finds
-  these streaks and the driver skips them in O(1) per epoch-bounded
-  chunk.
-* **Fused prefetcher trainers** -- the common fig05 configurations
+  hits with no state change beyond three counters; the single-core
+  pre-decode finds these streaks and the driver skips them in O(1) per
+  epoch-bounded chunk.
+* **Fused prefetcher trainers** -- the common configurations
   (Triage/Hawkeye, Triage-ideal, Triangel/reuse, Best-Offset, SMS)
   train through flattened closures that operate on the *real* component
   objects' internal tables in place, so observable state (and therefore
   any later generic-path interaction, resize, or event emission) stays
-  exactly as the scalar path would leave it.  Anything else -- hybrids,
-  MISB, LRU-metadata ablations, profiled runs -- falls back to the
-  components' own ``observe``/``feedback`` methods, still several times
-  faster than the scalar engine because the demand path is flat.
+  exactly as the object engine would leave it.  Anything else --
+  hybrids, MISB, LRU-metadata ablations, a Triage instance shared by
+  several cores -- trains through the components' own
+  ``observe``/``feedback``, still several times faster than the object
+  engine because the demand path is flat.  Profiled runs keep the fused
+  trainers; their time is filed under the single ``batched_core`` phase
+  (``metadata_store`` is only timed on the ``observe`` path).
 
 Configurations the flat memory model cannot represent (non-LRU LLC
-policies, unknown L1 prefetchers) bail out to the scalar engine rather
-than approximate, so ``engine="batched"`` is always safe to request.
+policies, unknown L1 prefetchers, non-power-of-two set counts,
+addresses beyond int64) bail out to the object engine rather than
+approximate.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +58,7 @@ from repro.memory.dram import CATEGORIES, DramModel
 from repro.memory.hierarchy import CoreCounters
 from repro.obs import ObsSession, RunObserver, get_session
 from repro.obs.manifest import build_manifest
+from repro.prefetchers.base import BasePrefetcher
 from repro.prefetchers.best_offset import BestOffsetPrefetcher
 from repro.prefetchers.hybrid import HybridPrefetcher
 from repro.prefetchers.sms import SmsPrefetcher
@@ -74,7 +82,7 @@ __all__ = ["simulate_batched"]
 
 
 def _bail_reason(config: MachineConfig) -> Optional[str]:
-    """Why this config needs the scalar engine (None = batched is fine)."""
+    """Why this config needs the object engine (None = flat is fine)."""
     if config.llc_policy != "lru":
         return "non-LRU LLC policy"
     if config.l1_prefetcher not in ("none", "stride"):
@@ -82,29 +90,33 @@ def _bail_reason(config: MachineConfig) -> Optional[str]:
     return None
 
 
-def _l1_schedule(
-    trace: Trace, lines: List[int], pcs: List[int], heads: List[int], deg: int
+def _set_counts(config: MachineConfig, n_cores: int) -> Optional[tuple]:
+    """``(L1, L2, LLC)`` set counts, or None unless all are powers of two.
+
+    That is the geometry the ``Cache`` constructor accepts; for anything
+    else the object engine raises its canonical error message.
+    """
+    counts = (
+        config.l1_size // (64 * config.l1_ways),
+        config.l2_size // (64 * config.l2_ways),
+        config.llc_size_per_core * n_cores // (64 * config.llc_ways),
+    )
+    if any(sets <= 0 or sets & (sets - 1) for sets in counts):
+        return None
+    return counts
+
+
+def _stride_schedule(
+    lines: List[int], pcs: List[int], heads: Sequence[int], deg: int
 ) -> List[Optional[tuple]]:
-    """Per-head L1 stride-prefetch candidates, cached on the trace.
+    """Replay the L1 stride prefetcher over the accesses at ``heads``.
 
     The stride prefetcher's state depends only on the access stream, not
-    on cache contents, so its whole candidate schedule can be replayed
-    once per ``(trace, degree)`` and reused across configurations --
-    sweeps run every prefetcher config over the same traces.  Repeated
-    accesses are exact no-ops for the table (the entry is already
-    most-recent and a zero stride changes nothing), so heads suffice.
-
-    Entry ``k`` is a tuple of target lines the scalar
+    on cache contents, so its whole candidate schedule can be computed
+    up front.  Entry ``k`` is a tuple of target lines the object
     :class:`~repro.prefetchers.stride.StridePrefetcher` would emit at
-    head ``k`` (``None`` when it emits nothing).
+    access ``heads[k]`` (``None`` when it emits nothing).
     """
-    cached = getattr(trace, "_batched_l1pf", None)
-    if (
-        cached is not None
-        and cached[0] == deg
-        and len(cached[1]) == len(heads)
-    ):
-        return cached[1]
     st: dict = {}
     out: List[Optional[tuple]] = []
     ap = out.append
@@ -143,6 +155,27 @@ def _l1_schedule(
             ap(cand if cand else None)
         else:
             ap(None)
+    return out
+
+
+def _l1_schedule(
+    trace: Trace, lines: List[int], pcs: List[int], heads: List[int], deg: int
+) -> List[Optional[tuple]]:
+    """Per-head L1 stride-prefetch candidates of one lap, cached on the trace.
+
+    Sweeps run every prefetcher config over the same traces, so the
+    schedule is computed once per ``(trace, degree)``.  Repeated
+    accesses are exact no-ops for the table (the entry is already
+    most-recent and a zero stride changes nothing), so heads suffice.
+    """
+    cached = getattr(trace, "_batched_l1pf", None)
+    if (
+        cached is not None
+        and cached[0] == deg
+        and len(cached[1]) == len(heads)
+    ):
+        return cached[1]
+    out = _stride_schedule(lines, pcs, heads, deg)
     try:
         trace._batched_l1pf = (deg, out)
     except Exception:  # noqa: BLE001 -- slots-style traces: just recompute
@@ -261,165 +294,138 @@ def _run_segment(
     return (l1h, l2h, l2ph, llch, dramc, l1u, td, tw)
 
 
-def simulate_batched(
-    trace: Trace,
-    prefetcher: PrefetcherSpec = None,
-    machine: Optional[MachineConfig] = None,
-    degree: int = 1,
-    epoch_accesses: int = 5_000,
-    charge_metadata_to_llc: bool = True,
-    warmup_accesses: int = 0,
-    name: Optional[str] = None,
-    obs: Optional[ObsSession] = None,
-) -> SimulationResult:
-    """Scalar-identical single-core simulation, struct-of-arrays style.
+class _FlatLLC:
+    """The flat shared LLC and the Triage way partition over it.
 
-    Same contract as :func:`repro.sim.single_core.simulate`; results are
-    bit-identical (the differential tests enforce this).  Configurations
-    outside the flat model bail out to the scalar engine transparently.
+    ``sets`` are per-set plain dicts whose insertion order is the LRU
+    order, with values ``way << 1 | dirty`` so partitioning can evict
+    exactly the deactivated ways, like ``Cache.set_active_ways``;
+    ``free`` holds each set's unused ways as a min-heap.  ``triages`` is
+    every Triage component of every core sharing the LLC: the data-way
+    count tracks the *sum* of their metadata allocations.
     """
-    wall_start = time.perf_counter()
-    config = machine or MachineConfig.single_core()
-    if config.n_cores != 1:
-        raise ValueError("simulate() is single-core; use simulate_multicore()")
-    if _bail_reason(config) is not None:
-        return simulate(
-            trace, prefetcher, machine=machine, degree=degree,
-            epoch_accesses=epoch_accesses,
-            charge_metadata_to_llc=charge_metadata_to_llc,
-            warmup_accesses=warmup_accesses, name=name, obs=obs,
-            engine="analytic",
-        )
 
-    # ---- trace pre-decode (struct-of-arrays) ---------------------------
-    n = len(trace)
-    try:
-        line_arr = np.asarray(trace.addrs, dtype=np.int64) >> 6
-        pc_arr = np.asarray(trace.pcs, dtype=np.int64)
-        write_arr = np.asarray(trace.writes, dtype=np.bool_)
-    except OverflowError:
-        # Addresses beyond int64: rare synthetic corner, scalar handles it.
-        return simulate(
-            trace, prefetcher, machine=machine, degree=degree,
-            epoch_accesses=epoch_accesses,
-            charge_metadata_to_llc=charge_metadata_to_llc,
-            warmup_accesses=warmup_accesses, name=name, obs=obs,
-            engine="analytic",
-        )
-    lines = line_arr.tolist()
-    pcs = pc_arr.tolist()
-    ws = write_arr.tolist()
-    # Run-length analysis: an access repeating its predecessor's
-    # (line, pc, is_write) triple is a guaranteed L1 hit whose only
-    # effect is three counter increments -- the driver bulk-skips them.
-    if n:
-        rep = np.empty(n, dtype=np.bool_)
-        rep[0] = False
-        np.equal(line_arr[1:], line_arr[:-1], out=rep[1:])
-        rep[1:] &= pc_arr[1:] == pc_arr[:-1]
-        rep[1:] &= write_arr[1:] == write_arr[:-1]
-        heads_arr = np.flatnonzero(~rep)
-        run_ends = np.append(heads_arr[1:], n)
-        bh = heads_arr.tolist()
-        bx = (run_ends - heads_arr - 1).tolist()
-    else:
-        bh = []
-        bx = []
+    def __init__(
+        self,
+        config: MachineConfig,
+        n_sets: int,
+        triages: List[TriagePrefetcher],
+        charge_llc: bool,
+    ):
+        self.config = config
+        self.sets = [dict() for _ in range(n_sets)]
+        # Ascending lists are valid heaps.
+        self.free = [list(range(config.llc_ways)) for _ in range(n_sets)]
+        self.mask = n_sets - 1
+        self.active = config.llc_ways
+        #: Bytes of dirty lines flushed by partition shrinks.
+        self.writeback = 0
+        self.triages = triages
+        self.charge_llc = charge_llc
+        self._own_hooks = [t.on_partition_change for t in triages]
+        for t in triages:
+            t.on_partition_change = self.apply_partition
+        self.apply_partition()
 
-    pf = make_prefetcher(prefetcher, degree=degree)
-    triages = triage_components(pf)
+    def detach(self) -> None:
+        """Give every Triage component back the hook it had before.
 
-    # ---- flat cache hierarchy ------------------------------------------
-    # Per-set plain dicts; insertion order is the LRU order.  L1/L2 values
-    # are ``prefetched_kind << 1 | dirty`` (kind: 0 none, 1 "l1", 2 "l2");
-    # LLC values are ``way << 1 | dirty`` so partitioning can target ways.
-    ns1 = config.l1_size // (64 * config.l1_ways)
-    ns2 = config.l2_size // (64 * config.l2_ways)
-    ns3 = config.llc_size_per_core // (64 * config.llc_ways)
-    for label, sets in (("L1D0", ns1), ("L2_0", ns2), ("LLC", ns3)):
-        if sets <= 0 or sets & (sets - 1):
-            # Same geometry the Cache constructor would reject; let the
-            # scalar engine raise its canonical error message.
-            return simulate(
-                trace, prefetcher, machine=machine, degree=degree,
-                epoch_accesses=epoch_accesses,
-                charge_metadata_to_llc=charge_metadata_to_llc,
-                warmup_accesses=warmup_accesses, name=name, obs=obs,
-                engine="analytic",
-            )
-    m1, m2, m3 = ns1 - 1, ns2 - 1, ns3 - 1
-    w1, w2, w3 = config.l1_ways, config.l2_ways, config.llc_ways
-    L1 = [dict() for _ in range(ns1)]
-    L2 = [dict() for _ in range(ns2)]
-    L3 = [dict() for _ in range(ns3)]
-    free3 = [list(range(w3)) for _ in range(ns3)]  # ascending = valid heap
-    active3 = w3
+        Called when a run ends.  The hooks tie the components and the
+        LLC into reference cycles; cutting them lets both be freed by
+        reference counting instead of lingering until the cycle
+        collector runs, which holds a mix's stores in memory for several
+        cells.
+        """
+        for t, hook in zip(self.triages, self._own_hooks):
+            t.on_partition_change = hook
 
-    dram = DramModel(
-        base_latency_cycles=config.dram_latency_cycles,
-        bandwidth_bytes_per_cycle=config.dram_bandwidth_bytes_per_cycle,
-    )
-
-    # ---- counters (flat locals, synced into real objects) --------------
-    counters = CoreCounters()
-    acc = l1h = l2h = l2ph = llch = dramc = 0
-    pf_iss = pf_red = pf_llc = pf_dram = 0
-    l1_useful = l1_iss = l1_red = l1_dram = 0
-    t_demand = t_prefetch = t_writeback = t_metadata = 0
-
-    # ---- LLC way partitioning (Triage metadata slice) ------------------
-    def apply_partition(_capacity=None) -> None:
-        nonlocal active3, t_writeback
-        if not charge_metadata_to_llc:
+    def apply_partition(self, _capacity=None) -> None:
+        if not self.charge_llc:
             return
+        config = self.config
         meta_bytes = sum(
-            t.metadata_capacity_bytes for t in triages if not t.store.unbounded
+            t.metadata_capacity_bytes
+            for t in self.triages
+            if not t.store.unbounded
         )
         data_ways = config.llc_ways - config.metadata_ways(meta_bytes)
         if data_ways < 1:
             raise ValueError("metadata would consume the entire LLC")
-        if data_ways == active3:
+        active = self.active
+        if data_ways == active:
             return
-        if data_ways < active3:
-            for s in range(ns3):
-                d3 = L3[s]
+        if data_ways < active:
+            free3 = self.free
+            for s, d3 in enumerate(self.sets):
                 stale = [
                     (ln, v_) for ln, v_ in d3.items() if (v_ >> 1) >= data_ways
                 ]
                 for ln, v_ in stale:
                     del d3[ln]
                     if v_ & 1:
-                        t_writeback += 64
+                        self.writeback += 64
                 fr = [w_ for w_ in free3[s] if w_ < data_ways]
                 heapify(fr)
                 free3[s] = fr
         else:
-            for fr in free3:
-                for w_ in range(active3, data_ways):
+            for fr in self.free:
+                for w_ in range(active, data_ways):
                     heappush(fr, w_)
-        active3 = data_ways
+        self.active = data_ways
 
-    for t in triages:
-        t.on_partition_change = apply_partition
-    apply_partition()
 
-    # ---- observability --------------------------------------------------
-    session = obs if obs is not None else get_session()
-    run: Optional[RunObserver] = None
-    prof = None
-    sim_span = None
-    if session is not None:
-        run = session.begin_run(
-            name or trace.name, pf.name if pf is not None else "none"
-        )
-        prof = session.profiler
-        attach_observability(run, triages, dram=dram, profiler=prof)
-        sim_span = _open_sim_span(
-            session, run, "batched",
-            name or trace.name, pf.name if pf is not None else "none",
-            t=wall_start,
-        )
-    prev_store = [(0, 0, 0) for _ in triages]  # (lookups, hits, evictions)
+class _FlatCore(NamedTuple):
+    """One core's flat private caches and L2-prefetcher wiring."""
+
+    l1: List[dict]
+    l2: List[dict]
+    #: ``insert_l1(line)``: the L1 stride prefetcher's fill into L2.
+    insert_l1: Callable[[int], None]
+    #: ``train(pc, line, prefetch_hit)`` on every L2-miss / prefetch-hit
+    #: event; None without an L2 prefetcher.
+    train: Optional[Callable[[int, int, bool], None]]
+    #: ``sync(counters)`` writes the prefetch-side counters into
+    #: ``counters`` and the mirrored store/controller statistics into
+    #: the real components.
+    sync: Callable[[CoreCounters], None]
+    #: ``reset()`` zeroes the prefetch-side counters (warmup boundary).
+    reset: Callable[[], None]
+    #: ``traffic()`` -> ``(prefetch, writeback, metadata)`` bytes caused
+    #: by this core's prefetches and prefetcher, since construction.
+    traffic: Callable[[], tuple]
+
+
+def _build_core(
+    config: MachineConfig,
+    llc: _FlatLLC,
+    pf: Optional[BasePrefetcher],
+    triages: List[TriagePrefetcher],
+    mirror_ok: bool = True,
+) -> _FlatCore:
+    """One core's private flat L1/L2 over ``llc``, with its trainer.
+
+    Shared by the single- and multi-core drivers.  L1/L2 values are
+    ``prefetched_kind << 1 | dirty`` (kind: 0 none, 1 "l1", 2 "l2").  The
+    core owns its prefetch-side counters; demand counters belong to the
+    driver, which runs the demand path inline.  Build it after
+    observability is attached: the trainers capture the components'
+    event hooks.  ``mirror_ok=False`` (one component instance shared by
+    several cores, whose statistics per-core mirrors would split)
+    trains the Triage family through ``observe``/``feedback``.
+    """
+    ns1 = config.l1_size // (64 * config.l1_ways)
+    ns2 = config.l2_size // (64 * config.l2_ways)
+    m2 = ns2 - 1
+    w2 = config.l2_ways
+    L1 = [dict() for _ in range(ns1)]
+    L2 = [dict() for _ in range(ns2)]
+    L3 = llc.sets
+    free3 = llc.free
+    m3 = llc.mask
+    apply_partition = llc.apply_partition
+    pf_iss = pf_red = pf_llc = pf_dram = 0
+    l1_iss = l1_red = l1_dram = 0
+    t_prefetch = t_writeback = t_metadata = 0
 
     # ---- flat prefetch insertion (hierarchy.prefetch, kind="l2") -------
     def insert_l2_prefetch(t_line: int) -> str:
@@ -525,7 +531,8 @@ def simulate_batched(
         store = triages[0].store if triages else None
         ctrl = triages[0].controller if triages else None
         triage_ok = (
-            len(triages) == 1
+            mirror_ok
+            and len(triages) == 1
             and triages[0] is pf
             and pf.config.use_confidence
             and not pf.config.track_reuse
@@ -617,12 +624,17 @@ def simulate_batched(
                     ways_l = store._ways
                     frees_l = store._free
                     pol = store._hawkeye
+                    ev_store = store.events
+                    if pol is None:
+                        # Zero-capacity store: every table access sits
+                        # behind ``if ns``; no set is sampled.
+                        samplers = {}
+                        return
                     samplers = pol._samplers
                     sampler_last_pc = pol._sampler_last_pc
                     line_pc_l = pol._line_pc
                     rrpv_l = pol._rrpv
                     line_keys = pol._line_keys
-                    ev_store = store.events
 
                 _refresh()
 
@@ -876,9 +888,11 @@ def simulate_batched(
                     ways_l = store._ways
                     frees_l = store._free
                     rp = store._policy
+                    ev_store = store.events
+                    if rp is None:
+                        return  # zero-capacity store: tables unused
                     last_touch_l = rp._last_touch
                     reuse_l = rp._reuse
-                    ev_store = store.events
 
                 _refresh()
 
@@ -1155,24 +1169,11 @@ def simulate_batched(
 
             train = sms_train
 
-    # ---- precomputed L1 stride schedule --------------------------------
-    sched = None
-    if config.l1_prefetcher == "stride":
-        sched = _l1_schedule(trace, lines, pcs, bh, config.l1_prefetcher_degree)
-
-    # ---- mirror sync / epoch plumbing ----------------------------------
-    def sync_state() -> None:
-        counters.accesses = acc
-        counters.l1_hits = l1h
-        counters.l2_hits = l2h
-        counters.l2_prefetch_hits = l2ph
-        counters.llc_hits = llch
-        counters.dram_accesses = dramc
+    def sync(counters: CoreCounters) -> None:
         counters.prefetches_issued = pf_iss
         counters.prefetches_redundant = pf_red
         counters.prefetch_fills_from_llc = pf_llc
         counters.prefetch_fills_from_dram = pf_dram
-        counters.l1pf_useful = l1_useful
         counters.l1pf_issued = l1_iss
         counters.l1pf_redundant = l1_red
         counters.l1pf_fills_from_dram = l1_dram
@@ -1193,6 +1194,14 @@ def simulate_batched(
             pf.sample_pattern_matches = tg_matches
             pf.skipped_allocations = tg_skipped
 
+    def reset() -> None:
+        nonlocal pf_iss, pf_red, pf_llc, pf_dram, l1_iss, l1_red, l1_dram
+        pf_iss = pf_red = pf_llc = pf_dram = 0
+        l1_iss = l1_red = l1_dram = 0
+
+    def traffic() -> tuple:
+        return t_prefetch, t_writeback, t_metadata
+
     if fused_store is not None:
         st_lookups = fused_store.lookups
         st_hits = fused_store.lookup_hits
@@ -1202,6 +1211,158 @@ def simulate_batched(
         st_llc = fused_store.llc_accesses
         st_agree = fused_store.update_agreements
         st_conflict = fused_store.update_conflicts
+    return _FlatCore(L1, L2, insert_l1_prefetch, train, sync, reset, traffic)
+
+
+def simulate_batched(
+    trace: Trace,
+    prefetcher: PrefetcherSpec = None,
+    machine: Optional[MachineConfig] = None,
+    degree: int = 1,
+    epoch_accesses: int = 5_000,
+    charge_metadata_to_llc: bool = True,
+    warmup_accesses: int = 0,
+    name: Optional[str] = None,
+    obs: Optional[ObsSession] = None,
+) -> SimulationResult:
+    """Scalar-identical single-core simulation, struct-of-arrays style.
+
+    Same contract as :func:`repro.sim.single_core.simulate`; results are
+    bit-identical (the differential tests enforce this).  Configurations
+    outside the flat model bail out to the scalar engine transparently.
+    The run is split into epoch/warmup-bounded segments (or, on traces
+    with repeats, a per-head loop that bulk-skips L1 streaks) over one
+    :func:`_build_core` core and a :class:`_FlatLLC`.
+    """
+    wall_start = time.perf_counter()
+    config = machine or MachineConfig.single_core()
+    if config.n_cores != 1:
+        raise ValueError("simulate() is single-core; use simulate_multicore()")
+    if _bail_reason(config) is not None:
+        return simulate(
+            trace, prefetcher, machine=machine, degree=degree,
+            epoch_accesses=epoch_accesses,
+            charge_metadata_to_llc=charge_metadata_to_llc,
+            warmup_accesses=warmup_accesses, name=name, obs=obs,
+            engine="analytic",
+        )
+
+    # ---- trace pre-decode (struct-of-arrays) ---------------------------
+    n = len(trace)
+    try:
+        line_arr = np.asarray(trace.addrs, dtype=np.int64) >> 6
+        pc_arr = np.asarray(trace.pcs, dtype=np.int64)
+        write_arr = np.asarray(trace.writes, dtype=np.bool_)
+    except OverflowError:
+        # Addresses beyond int64: rare synthetic corner, scalar handles it.
+        return simulate(
+            trace, prefetcher, machine=machine, degree=degree,
+            epoch_accesses=epoch_accesses,
+            charge_metadata_to_llc=charge_metadata_to_llc,
+            warmup_accesses=warmup_accesses, name=name, obs=obs,
+            engine="analytic",
+        )
+    lines = line_arr.tolist()
+    pcs = pc_arr.tolist()
+    ws = write_arr.tolist()
+    # Run-length analysis: an access repeating its predecessor's
+    # (line, pc, is_write) triple is a guaranteed L1 hit whose only
+    # effect is three counter increments -- the driver bulk-skips them.
+    if n:
+        rep = np.empty(n, dtype=np.bool_)
+        rep[0] = False
+        np.equal(line_arr[1:], line_arr[:-1], out=rep[1:])
+        rep[1:] &= pc_arr[1:] == pc_arr[:-1]
+        rep[1:] &= write_arr[1:] == write_arr[:-1]
+        heads_arr = np.flatnonzero(~rep)
+        run_ends = np.append(heads_arr[1:], n)
+        bh = heads_arr.tolist()
+        bx = (run_ends - heads_arr - 1).tolist()
+    else:
+        bh = []
+        bx = []
+
+    sets = _set_counts(config, 1)
+    if sets is None:
+        # Same geometry the Cache constructor would reject; let the
+        # scalar engine raise its canonical error message.
+        return simulate(
+            trace, prefetcher, machine=machine, degree=degree,
+            epoch_accesses=epoch_accesses,
+            charge_metadata_to_llc=charge_metadata_to_llc,
+            warmup_accesses=warmup_accesses, name=name, obs=obs,
+            engine="analytic",
+        )
+
+    pf = make_prefetcher(prefetcher, degree=degree)
+    triages = triage_components(pf)
+
+    # ---- flat cache hierarchy ------------------------------------------
+    llc = _FlatLLC(config, sets[2], triages, charge_metadata_to_llc)
+    m1, m2, m3 = sets[0] - 1, sets[1] - 1, llc.mask
+    w1, w2 = config.l1_ways, config.l2_ways
+    L3 = llc.sets
+    free3 = llc.free
+
+    dram = DramModel(
+        base_latency_cycles=config.dram_latency_cycles,
+        bandwidth_bytes_per_cycle=config.dram_bandwidth_bytes_per_cycle,
+    )
+
+    # ---- demand counters (flat locals, synced into ``counters``) -------
+    counters = CoreCounters()
+    acc = l1h = l2h = l2ph = llch = dramc = l1_useful = 0
+    # Demand-path bytes; the core and the LLC partition count the rest.
+    t_demand = t_writeback = 0
+
+    # ---- observability --------------------------------------------------
+    session = obs if obs is not None else get_session()
+    run: Optional[RunObserver] = None
+    prof = None
+    sim_span = None
+    if session is not None:
+        run = session.begin_run(
+            name or trace.name, pf.name if pf is not None else "none"
+        )
+        prof = session.profiler
+        attach_observability(run, triages, dram=dram, profiler=prof)
+        sim_span = _open_sim_span(
+            session, run, "batched",
+            name or trace.name, pf.name if pf is not None else "none",
+            t=wall_start,
+        )
+    prev_store = [(0, 0, 0) for _ in triages]  # (lookups, hits, evictions)
+
+    core = _build_core(config, llc, pf, triages)
+    L1, L2 = core.l1, core.l2
+    insert_l1_prefetch = core.insert_l1
+    train = core.train
+
+    # ---- precomputed L1 stride schedule --------------------------------
+    sched = None
+    if config.l1_prefetcher == "stride":
+        sched = _l1_schedule(trace, lines, pcs, bh, config.l1_prefetcher_degree)
+
+    # ---- mirror sync / epoch plumbing ----------------------------------
+    def sync_state() -> None:
+        counters.accesses = acc
+        counters.l1_hits = l1h
+        counters.l2_hits = l2h
+        counters.l2_prefetch_hits = l2ph
+        counters.llc_hits = llch
+        counters.dram_accesses = dramc
+        counters.l1pf_useful = l1_useful
+        core.sync(counters)
+
+    def traffic_totals() -> dict:
+        """Off-chip bytes by category: demand path, core and partition."""
+        t_pf, t_wb, t_md = core.traffic()
+        return {
+            "demand": t_demand,
+            "prefetch": t_pf,
+            "writeback": t_writeback + t_wb + llc.writeback,
+            "metadata": t_md,
+        }
 
     total_cycles = 0.0
     prev = (0, 0, 0)  # (l2_hits, llc_hits, dram_accesses)
@@ -1230,7 +1391,7 @@ def simulate_batched(
             "llc_hits": load.llc_hits,
             "dram_accesses": load.dram_accesses,
             "epoch_bytes": epoch_bytes,
-            "llc_data_ways": active3,
+            "llc_data_ways": llc.active,
             "coverage": d_useful / d_would_miss if d_would_miss else 0.0,
             "dram_utilization": dram_info.get("utilization", 0.0),
             "dram_queue_penalty_cycles": dram_info.get(
@@ -1263,7 +1424,7 @@ def simulate_batched(
         nonlocal prev, prev_bytes, in_epoch, total_cycles
         if in_epoch == 0:
             return
-        total_bytes = t_demand + t_prefetch + t_writeback + t_metadata
+        total_bytes = sum(traffic_totals().values())
         if in_warmup:
             prev = (l2h, llch, dramc)
             prev_bytes = total_bytes
@@ -1287,30 +1448,22 @@ def simulate_batched(
         in_epoch = 0
 
     def warmup_reset() -> None:
-        nonlocal acc, l1h, l2h, l2ph, llch, dramc
-        nonlocal pf_iss, pf_red, pf_llc, pf_dram
-        nonlocal l1_useful, l1_iss, l1_red, l1_dram
+        nonlocal acc, l1h, l2h, l2ph, llch, dramc, l1_useful
         nonlocal traffic_offset, metadata_llc_offset, metadata_dram_offset
         nonlocal total_cycles, prev, prev_bytes, prev_coverage, in_epoch
         nonlocal in_warmup, prev_store
         sync_state()
-        traffic_offset = {
-            "demand": t_demand,
-            "prefetch": t_prefetch,
-            "writeback": t_writeback,
-            "metadata": t_metadata,
-        }
+        traffic_offset = traffic_totals()
         metadata_llc_offset = sum(t.store.llc_accesses for t in triages)
         if pf is not None:
             metadata_dram_offset = pf.metadata_dram_accesses
             if isinstance(pf, HybridPrefetcher):
                 metadata_dram_offset = pf.total_metadata_dram_accesses
-        acc = l1h = l2h = l2ph = llch = dramc = 0
-        pf_iss = pf_red = pf_llc = pf_dram = 0
-        l1_useful = l1_iss = l1_red = l1_dram = 0
+        acc = l1h = l2h = l2ph = llch = dramc = l1_useful = 0
+        core.reset()
         total_cycles = 0.0
         prev = (0, 0, 0)
-        prev_bytes = t_demand + t_prefetch + t_writeback + t_metadata
+        prev_bytes = sum(traffic_offset.values())
         prev_coverage = (0, 0)
         in_epoch = 0
         in_warmup = False
@@ -1469,6 +1622,7 @@ def simulate_batched(
                 bulk_l1_hits(extra)
     close_epoch()
     sync_state()
+    llc.detach()
     loop_seconds = time.perf_counter() - wall_start
     if prof is not None:
         prof.add("batched_core", loop_seconds, calls=n)
@@ -1490,12 +1644,7 @@ def simulate_batched(
             final_capacity = triage.metadata_capacity_bytes
 
     measured_accesses = n - min(warmup_accesses, n)
-    totals = {
-        "demand": t_demand,
-        "prefetch": t_prefetch,
-        "writeback": t_writeback,
-        "metadata": t_metadata,
-    }
+    totals = traffic_totals()
     traffic = {
         category: totals[category] - traffic_offset.get(category, 0)
         for category in CATEGORIES

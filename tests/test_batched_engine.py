@@ -27,11 +27,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro import config
 from repro.cache import keys as cache_keys
+from repro.core.triage import TriageConfig
 from repro.experiments import common
 from repro.sim.batched import _bail_reason, simulate_batched
 from repro.sim.config import MachineConfig
 from repro.sim.single_core import simulate
 from repro.workloads.base import Trace
+from repro.workloads.regular import stream_trace
 
 
 def result_summary(r):
@@ -114,6 +116,21 @@ def test_batched_matches_scalar_on_real_trace():
                                    machine=common.MACHINE,
                                    warmup_accesses=2_000)
         assert result_summary(batched) == result_summary(scalar)
+
+
+def test_single_core_batched_survives_resize_to_zero():
+    # A store shrunk to zero capacity has no replacement policy; the
+    # fused trainers must keep running (and match the object engine).
+    trace = stream_trace("s", 16_000, seed=2, n_streams=2, arena=60)
+    kwargs = dict(machine=MachineConfig.scaled(16))
+    dyn = TriageConfig(
+        dynamic=True, capacities=(0, 8 * 1024, 16 * 1024),
+        epoch_accesses=1_000, partition_warmup_epochs=0,
+    )
+    batched = simulate(trace, dyn, engine="batched", **kwargs)
+    scalar = simulate(trace, dyn, engine="analytic", **kwargs)
+    assert batched == scalar
+    assert 0 in batched.partition_history
 
 
 # -- engine selection --------------------------------------------------------

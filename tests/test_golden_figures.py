@@ -1,11 +1,12 @@
 """Golden regression tests for the figure harnesses.
 
-Small checked-in JSON summaries of Figure 5 and Figure 11 at a reduced
-test scale, asserted cell-by-cell against a fresh harness run.  The
-simulation is deterministic, so any drift here means a code change
-*silently* altered reported results -- exactly what a performance-
-oriented PR must not do.  If a change alters results **intentionally**
-(a modeling fix, a new default), regenerate with::
+Small checked-in JSON summaries of Figures 5, 11 and 19 and two
+extension tables at a reduced test scale, asserted cell-by-cell against
+a fresh harness run.  The simulation is deterministic, so any drift
+here means a code change *silently* altered reported results --
+exactly what a performance-oriented change must not do.  If a change
+alters results **intentionally** (a modeling fix, a new default),
+regenerate with::
 
     PYTHONPATH=src python tests/test_golden_figures.py --regen
 
@@ -31,6 +32,7 @@ from repro.experiments import ext_engine_validation as ext_engines
 from repro.experiments import ext_triangel_headtohead as ext_triangel
 from repro.experiments import fig05_irregular_speedup as fig05
 from repro.experiments import fig11_offchip_comparison as fig11
+from repro.experiments import fig19_way_allocation as fig19
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
@@ -43,6 +45,9 @@ FIGURES = {
     "fig11": fig11,
     "ext_triangel": ext_triangel,
     "ext_engines": ext_engines,
+    # Multi-core: per-core Triage-Dynamic partitions on one shared LLC,
+    # at the figure's own quick scale (GOLDEN_N is single-core only).
+    "fig19": fig19,
 }
 
 #: Cross-platform slack for libm differences (exp/log in geomeans); any
