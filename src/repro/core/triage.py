@@ -182,10 +182,7 @@ class TriagePrefetcher(BasePrefetcher):
         # Training: correlate with this PC's previous access.
         prev = self.training_unit.observe(stream_pc, line)
         if prev is not None and prev != line:
-            if self.config.use_confidence:
-                self.store.update(prev, line, stream_pc)
-            else:
-                self._update_unconditionally(prev, line, stream_pc)
+            self._learn(prev, line, stream_pc)
 
         self._apply_pending_partition()
         if profile is not None:
@@ -225,11 +222,10 @@ class TriagePrefetcher(BasePrefetcher):
             raise ValueError("unbounded store has no capacity")
         return self.store.capacity_bytes
 
-    # -- ablation helper ---------------------------------------------------------
-
-    def _update_unconditionally(self, trigger: int, line: int, pc: int) -> None:
-        """Confidence-off ablation: always overwrite the stored neighbor."""
-        entry = self.store._find(trigger)
-        if entry is not None:
-            entry.confidence = 0  # force replacement on this update
-        self.store.update(trigger, line, pc)
+    def _learn(self, trigger: int, line: int, pc: int) -> None:
+        """Store ``trigger -> line``; the confidence-off ablation
+        overwrites a disagreeing successor at once."""
+        if self.config.use_confidence:
+            self.store.update(trigger, line, pc)
+        else:
+            self.store.overwrite(trigger, line, pc)

@@ -242,10 +242,7 @@ class TriangelPrefetcher(TriagePrefetcher):
         if not allowed:
             self.skipped_allocations += 1
             return
-        if self.config.use_confidence:
-            self.store.update(prev, line, stream_pc)
-        else:
-            self._update_unconditionally(prev, line, stream_pc)
+        self._learn(prev, line, stream_pc)
 
     def _sample_train(self, prev: int, line: int, stream_pc: int) -> None:
         """Fold one training pair into the Sample Table's evidence."""

@@ -23,18 +23,22 @@ structural changes, none of which alters simulated behaviour:
   hits with no state change beyond three counters; the single-core
   pre-decode finds these streaks and the driver skips them in O(1) per
   epoch-bounded chunk.
-* **Fused prefetcher trainers** -- the common configurations
-  (Triage/Hawkeye, Triage-ideal, Triangel/reuse, Best-Offset, SMS)
-  train through flattened closures that operate on the *real* component
-  objects' internal tables in place, so observable state (and therefore
-  any later generic-path interaction, resize, or event emission) stays
-  exactly as the object engine would leave it.  Anything else --
-  hybrids, MISB, LRU-metadata ablations, a Triage instance shared by
-  several cores -- trains through the components' own
-  ``observe``/``feedback``, still several times faster than the object
-  engine because the demand path is flat.  Profiled runs keep the fused
-  trainers; their time is filed under the single ``batched_core`` phase
-  (``metadata_store`` is only timed on the ``observe`` path).
+* **Fused prefetcher trainers** -- Triage and Triangel (every store
+  policy, index mode and ablation), Best-Offset and SMS train through
+  flattened closures that work on the *real* component objects, so
+  observable state (and therefore any later generic-path interaction,
+  resize, or event emission) stays exactly as the object engine would
+  leave it.  The Triage family's trainers make the same metadata-store
+  calls as ``TriagePrefetcher.observe``/``feedback`` (the store is
+  flat and slot-indexed itself) and only flatten the glue around
+  them: training unit, partition-controller sampling, Triangel's
+  sample table.  Anything else -- hybrids, MISB, the utility
+  partition controller, a Triage instance shared by several cores --
+  trains through the components' own ``observe``/``feedback``, still
+  several times faster than the object engine because the demand path
+  is flat.  Profiled runs keep the fused trainers; their time is filed
+  under the single ``batched_core`` phase (``metadata_store`` is only
+  timed on the ``observe`` path).
 
 Configurations the flat memory model cannot represent (non-LRU LLC
 policies, unknown L1 prefetchers, non-power-of-two set counts,
@@ -51,7 +55,6 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.core.metadata_store import MetadataEntry
 from repro.core.partition import PartitionController
 from repro.core.triage import TriagePrefetcher
 from repro.memory.dram import CATEGORIES, DramModel
@@ -385,8 +388,8 @@ class _FlatCore(NamedTuple):
     #: event; None without an L2 prefetcher.
     train: Optional[Callable[[int, int, bool], None]]
     #: ``sync(counters)`` writes the prefetch-side counters into
-    #: ``counters`` and the mirrored store/controller statistics into
-    #: the real components.
+    #: ``counters`` and the trainer's local partition-epoch and
+    #: sample-table counts into the real components.
     sync: Callable[[CoreCounters], None]
     #: ``reset()`` zeroes the prefetch-side counters (warmup boundary).
     reset: Callable[[], None]
@@ -410,8 +413,9 @@ def _build_core(
     driver, which runs the demand path inline.  Build it after
     observability is attached: the trainers capture the components'
     event hooks.  ``mirror_ok=False`` (one component instance shared by
-    several cores, whose statistics per-core mirrors would split)
-    trains the Triage family through ``observe``/``feedback``.
+    several cores, whose partition-epoch and sample-table counts the
+    per-core trainers would split) trains the Triage family through
+    ``observe``/``feedback``.
     """
     ns1 = config.l1_size // (64 * config.l1_ways)
     ns2 = config.l2_size // (64 * config.l2_ways)
@@ -422,7 +426,6 @@ def _build_core(
     L3 = llc.sets
     free3 = llc.free
     m3 = llc.mask
-    apply_partition = llc.apply_partition
     pf_iss = pf_red = pf_llc = pf_dram = 0
     l1_iss = l1_red = l1_dram = 0
     t_prefetch = t_writeback = t_metadata = 0
@@ -503,15 +506,17 @@ def _build_core(
 
     # ---- fused prefetcher trainers -------------------------------------
     # ``train(pc, line, prefetch_hit)`` is called on every L2-miss /
-    # prefetch-hit event.  The fused closures mirror the components'
-    # observe/feedback paths exactly, mutating the real objects' tables.
-    # Mirrored store/controller statistics live in local ints and are
-    # written back by ``sync_state`` before anything reads the objects.
-    fused_store = None
+    # prefetch-hit event.  The fused closures follow the components'
+    # observe/feedback paths exactly.  The Triage family's metadata store
+    # is only ever reached through its own methods (the calls
+    # ``TriagePrefetcher.observe``/``feedback`` make); what is flattened
+    # here is the glue around it: the training unit, the partition
+    # controller's sampling and epoch count, and Triangel's sample table.
+    # The controller's epoch count and Triangel's sample statistics live
+    # in local ints and are written back by ``sync``.
+    fused_triage = False
     fused_ctrl = None
     fused_triangel = False
-    st_lookups = st_hits = st_updates = st_inserts = st_evictions = 0
-    st_llc = st_agree = st_conflict = 0
     ctrl_acc = 0
     tg_hits = tg_matches = tg_skipped = 0
 
@@ -528,29 +533,24 @@ def _build_core(
     train = None
     if pf is not None:
         train = generic_train
-        store = triages[0].store if triages else None
         ctrl = triages[0].controller if triages else None
         triage_ok = (
             mirror_ok
             and len(triages) == 1
             and triages[0] is pf
-            and pf.config.use_confidence
-            and not pf.config.track_reuse
-            and store.index_mode == "uniform"
+            and type(pf) in (TriagePrefetcher, TriangelPrefetcher)
             and pf._pending_capacity is None
             and (ctrl is None or type(ctrl) is PartitionController)
         )
         if triage_ok:
+            store = pf.store
+            lookup = store.lookup
+            learn = store.update if pf.config.use_confidence else store.overwrite
+            observe_access = store.observe_access
+            record_outcome = store.record_prefetch_outcome
             pcl = pf.config.pc_localized
-            deg = pf.degree
             tu = pf.training_unit._last
             tu_max = pf.training_unit.max_pcs
-            tt = store.tag_table
-            if tt is not None:
-                tag2id = tt._tag_to_id
-                id2tag = tt._id_to_tag
-                tag_cap = tt.capacity
-            ev_pf = None  # pf.events, re-read at call time via closure
 
             if ctrl is not None:
                 ctrl_mask = ctrl._sample_mask
@@ -558,27 +558,6 @@ def _build_core(
                 sb_s = ctrl.sandbox_small
                 sb_l = ctrl.sandbox_large
                 ctrl_acc = ctrl._accesses_this_epoch
-
-            def _encode_successor(line_: int):
-                """(compact, set_id) of ``line_``; inlined tag compression."""
-                sid = line_ & 2047
-                tag_ = line_ >> 11
-                if tt is None:
-                    return tag_, sid
-                compact = tag2id.get(tag_)
-                if compact is not None:
-                    tag2id.move_to_end(tag_)
-                    return compact, sid
-                if len(tag2id) < tag_cap:
-                    compact = tt._next_id
-                    tt._next_id = compact + 1
-                else:
-                    _old_tag, compact = tag2id.popitem(last=False)
-                    del id2tag[compact]
-                    tt.recycled += 1
-                tag2id[tag_] = compact
-                id2tag[compact] = tag_
-                return compact, sid
 
             def _ctrl_note(trigger: int):
                 """PartitionController.note_access; returns pending bytes."""
@@ -596,72 +575,17 @@ def _build_core(
                     return decision.capacity_bytes
                 return None
 
-            if (
-                type(pf) is TriagePrefetcher
-                and not store.unbounded
-                and store.policy_name == "hawkeye"
-            ):
-                pred = store._predictor
-                pred_cnt = pred._counters
-                pmask = pred.mask
-                pred_train = pred.train
-                # Store/policy internals, hoisted out of the per-event
-                # path; a resize rebinds them all, so every rebind site
-                # funnels through _refresh().
-                ns = smask = 0
-                idx_l = ways_l = frees_l = None
-                pol = samplers = sampler_last_pc = None
-                line_pc_l = rrpv_l = line_keys = None
-                ev_store = None
+            def _repartition(pending: int) -> None:
+                # Resize the store, then the LLC (the hook is
+                # ``llc.apply_partition``), then emit -- as observe does.
+                pf._pending_capacity = pending
+                pf._apply_pending_partition()
 
-                def _refresh():
-                    nonlocal ns, smask, idx_l, ways_l, frees_l, pol
-                    nonlocal samplers, sampler_last_pc, line_pc_l, rrpv_l
-                    nonlocal line_keys, ev_store
-                    ns = store.num_sets
-                    smask = ns - 1
-                    idx_l = store._index
-                    ways_l = store._ways
-                    frees_l = store._free
-                    pol = store._hawkeye
-                    ev_store = store.events
-                    if pol is None:
-                        # Zero-capacity store: every table access sits
-                        # behind ``if ns``; no set is sampled.
-                        samplers = {}
-                        return
-                    samplers = pol._samplers
-                    sampler_last_pc = pol._sampler_last_pc
-                    line_pc_l = pol._line_pc
-                    rrpv_l = pol._rrpv
-                    line_keys = pol._line_keys
-
-                _refresh()
-
-                def _apply_resize(pending: int):
-                    store.resize(pending)
-                    _refresh()
-                    apply_partition()
-                    if pf.events is not None:
-                        pf.events.emit(
-                            "partition.apply", "info", capacity_bytes=pending
-                        )
-
-                def _observe_sampled(og_, set_idx_, key_, pc_):
-                    """HawkeyePolicy.observe for a sampled set."""
-                    last_pcs = sampler_last_pc[set_idx_]
-                    verdict = og_.access(key_)
-                    if verdict is not None:
-                        pred_train(last_pcs.get(key_, pc_), verdict)
-                    last_pcs[key_] = pc_
-                    if len(last_pcs) > 8 * og_.window:
-                        last_pcs.clear()
+            if type(pf) is TriagePrefetcher:
+                deg = pf.degree
 
                 def triage_train(pc_: int, line_: int, _ph: bool) -> None:
-                    nonlocal st_lookups, st_hits, st_updates, st_inserts
-                    nonlocal st_evictions, st_llc, st_agree, st_conflict
                     spc = pc_ if pcl else 0
-                    spc_h = (spc ^ (spc >> 13) ^ (spc >> 26)) & pmask
                     pending = None
                     cand_t: list = []
                     cand_s: list = []
@@ -671,240 +595,36 @@ def _build_core(
                             p_ = _ctrl_note(trigger)
                             if p_ is not None:
                                 pending = p_
-                        st_lookups += 1
-                        st_llc += 1
-                        successor = None
-                        if ns:
-                            set_idx = trigger & smask
-                            way = idx_l[set_idx].get(trigger)
-                            if way is not None:
-                                entry = ways_l[set_idx][way]
-                                st_hits += 1
-                                line_pc_l[set_idx][way] = spc
-                                rrpv_l[set_idx][way] = (
-                                    0 if pred_cnt.get(spc_h, 4) >= 4 else 7
-                                )
-                                if tt is None:
-                                    successor = (
-                                        (entry.next_compact << 11)
-                                        | entry.next_set_id
-                                    )
-                                else:
-                                    tag_ = id2tag.get(entry.next_compact)
-                                    if tag_ is not None:
-                                        successor = (
-                                            (tag_ << 11) | entry.next_set_id
-                                        )
+                        successor = lookup(trigger, spc)
                         if successor is None:
-                            if ns:
-                                set_idx = trigger & smask
-                                og_ = samplers.get(set_idx)
-                                if og_ is not None:
-                                    _observe_sampled(
-                                        og_, set_idx, trigger, spc
-                                    )
+                            observe_access(trigger, spc)
                             break
                         cand_t.append(trigger)
                         cand_s.append(successor)
                         trigger = successor
-                    # Training (TrainingUnit + MetadataStore.update).
-                    # pop+reinsert == get+set+move_to_end, one op cheaper.
+                    # TrainingUnit.observe; pop+reinsert ==
+                    # get+set+move_to_end, one op cheaper.
                     prev_line = tu.pop(spc, None)
                     tu[spc] = line_
                     if prev_line is None and len(tu) > tu_max:
                         tu.popitem(last=False)
                     if prev_line is not None and prev_line != line_:
-                        st_updates += 1
-                        st_llc += 1
-                        compact, sid = _encode_successor(line_)
-                        entry = None
-                        if ns:
-                            set_idx = prev_line & smask
-                            way = idx_l[set_idx].get(prev_line)
-                            if way is not None:
-                                entry = ways_l[set_idx][way]
-                        if entry is not None:
-                            if (
-                                entry.next_compact == compact
-                                and entry.next_set_id == sid
-                            ):
-                                st_agree += 1
-                                entry.confidence = 1
-                            elif entry.confidence > 0:
-                                st_conflict += 1
-                                entry.confidence = 0
-                            else:
-                                st_conflict += 1
-                                entry.next_compact = compact
-                                entry.next_set_id = sid
-                                entry.confidence = 1
-                            og_ = samplers.get(set_idx)
-                            if og_ is not None:
-                                _observe_sampled(og_, set_idx, prev_line, spc)
-                        elif ns:
-                            frees = frees_l[set_idx]
-                            row = rrpv_l[set_idx]
-                            if frees:
-                                way = frees.pop()
-                            else:
-                                mx = max(row)
-                                way = row.index(mx)
-                                victim = ways_l[set_idx][way]
-                                if mx < 7:
-                                    pred_train(
-                                        line_pc_l[set_idx][way], False
-                                    )
-                                del idx_l[set_idx][victim.trigger]
-                                row[way] = 7
-                                st_evictions += 1
-                                if ev_store is not None:
-                                    ev_store.emit(
-                                        "meta_store.evict", "debug",
-                                        set=set_idx, way=way,
-                                        trigger=victim.trigger,
-                                    )
-                            ways_l[set_idx][way] = MetadataEntry(
-                                prev_line, compact, sid
-                            )
-                            idx_l[set_idx][prev_line] = way
-                            line_keys.setdefault(set_idx, {})[way] = prev_line
-                            line_pc_l[set_idx][way] = spc
-                            if pred_cnt.get(spc_h, 4) >= 4:
-                                for w_ in range(len(row)):
-                                    if w_ != way and row[w_] < 6:
-                                        row[w_] += 1
-                                row[way] = 0
-                            else:
-                                row[way] = 7
-                            st_inserts += 1
-                            og_ = samplers.get(set_idx)
-                            if og_ is not None:
-                                _observe_sampled(og_, set_idx, prev_line, spc)
+                        learn(prev_line, line_, spc)
                     if pending is not None:
-                        _apply_resize(pending)
+                        _repartition(pending)
                     # Issue + delayed feedback (non-redundant trains the
-                    # sampler); the aliases are post-resize fresh here.
+                    # store's sampler).
                     for j_ in range(len(cand_s)):
-                        if insert_l2_prefetch(cand_s[j_]) != "redundant":
-                            si2 = cand_t[j_] & smask
-                            og2 = samplers.get(si2)
-                            if og2 is not None:
-                                _observe_sampled(og2, si2, cand_t[j_], spc)
-
-                train = triage_train
-                fused_store = store
-                fused_ctrl = ctrl
-
-            elif (
-                type(pf) is TriagePrefetcher
-                and store.unbounded
-                and ctrl is None
-            ):
-                umap = store._unbounded_map
-
-                def ideal_train(pc_: int, line_: int, _ph: bool) -> None:
-                    nonlocal st_lookups, st_hits, st_updates, st_inserts
-                    nonlocal st_llc, st_agree, st_conflict
-                    spc = pc_ if pcl else 0
-                    cand: list = []
-                    trigger = line_
-                    for _ in range(deg):
-                        st_lookups += 1
-                        st_llc += 1
-                        entry = umap.get(trigger)
-                        successor = None
-                        if entry is not None:
-                            st_hits += 1
-                            if tt is None:
-                                successor = (
-                                    (entry.next_compact << 11)
-                                    | entry.next_set_id
-                                )
-                            else:
-                                tag_ = id2tag.get(entry.next_compact)
-                                if tag_ is not None:
-                                    successor = (
-                                        (tag_ << 11) | entry.next_set_id
-                                    )
-                        if successor is None:
-                            break
-                        cand.append(successor)
-                        trigger = successor
-                    # pop+reinsert == get+set+move_to_end, one op cheaper.
-                    prev_line = tu.pop(spc, None)
-                    tu[spc] = line_
-                    if prev_line is None and len(tu) > tu_max:
-                        tu.popitem(last=False)
-                    if prev_line is not None and prev_line != line_:
-                        st_updates += 1
-                        st_llc += 1
-                        compact, sid = _encode_successor(line_)
-                        entry = umap.get(prev_line)
-                        if entry is not None:
-                            if (
-                                entry.next_compact == compact
-                                and entry.next_set_id == sid
-                            ):
-                                st_agree += 1
-                                entry.confidence = 1
-                            elif entry.confidence > 0:
-                                st_conflict += 1
-                                entry.confidence = 0
-                            else:
-                                st_conflict += 1
-                                entry.next_compact = compact
-                                entry.next_set_id = sid
-                                entry.confidence = 1
-                        else:
-                            umap[prev_line] = MetadataEntry(
-                                prev_line, compact, sid
-                            )
-                            st_inserts += 1
-                    for t_ in cand:
-                        insert_l2_prefetch(t_)
-
-                train = ideal_train
-                fused_store = store
-
-            elif (
-                type(pf) is TriangelPrefetcher
-                and not store.unbounded
-                and store.policy_name == "reuse"
-            ):
-                rp_hops = pf.config.lookahead - 1 + pf.degree
-                # Store/policy internals, hoisted out of the per-event
-                # path and refreshed whenever a resize rebinds them.
-                ns = smask = 0
-                idx_l = ways_l = frees_l = None
-                rp = last_touch_l = reuse_l = None
-                ev_store = None
-
-                def _refresh():
-                    nonlocal ns, smask, idx_l, ways_l, frees_l, rp
-                    nonlocal last_touch_l, reuse_l, ev_store
-                    ns = store.num_sets
-                    smask = ns - 1
-                    idx_l = store._index
-                    ways_l = store._ways
-                    frees_l = store._free
-                    rp = store._policy
-                    ev_store = store.events
-                    if rp is None:
-                        return  # zero-capacity store: tables unused
-                    last_touch_l = rp._last_touch
-                    reuse_l = rp._reuse
-
-                _refresh()
-
-                def _apply_resize(pending: int):
-                    store.resize(pending)
-                    _refresh()
-                    apply_partition()
-                    if pf.events is not None:
-                        pf.events.emit(
-                            "partition.apply", "info", capacity_bytes=pending
+                        record_outcome(
+                            cand_t[j_], spc,
+                            insert_l2_prefetch(cand_s[j_]) == "redundant",
                         )
 
+                train = triage_train
+
+            else:
+                rp_hops = pf.config.lookahead - 1 + pf.degree
+                contains = store.contains
                 sampling = pf.config.sampling
                 smp_sets = pf.sample_table._sets
                 smp_nsets = pf.sample_table.num_sets
@@ -934,12 +654,11 @@ def _build_core(
                         table.popitem(last=False)
 
                 def triangel_train(pc_: int, line_: int, _ph: bool) -> None:
-                    nonlocal st_lookups, st_hits, st_updates, st_inserts
-                    nonlocal st_evictions, st_llc, st_agree, st_conflict
                     nonlocal tg_hits, tg_matches, tg_skipped
                     spc = pc_ if pcl else 0
                     pending = None
-                    cand: list = []
+                    cand_t: list = []
+                    cand_s: list = []
                     seen = {line_}
                     cursor = line_
                     for _ in range(rp_hops):
@@ -947,37 +666,15 @@ def _build_core(
                             p_ = _ctrl_note(cursor)
                             if p_ is not None:
                                 pending = p_
-                        st_lookups += 1
-                        st_llc += 1
-                        successor = None
-                        if ns:
-                            set_idx = cursor & smask
-                            way = idx_l[set_idx].get(cursor)
-                            if way is not None:
-                                entry = ways_l[set_idx][way]
-                                st_hits += 1
-                                rp._clock += 1
-                                last_touch_l[set_idx][way] = rp._clock
-                                ru = reuse_l[set_idx]
-                                if ru[way] < 3:
-                                    ru[way] += 1
-                                if tt is None:
-                                    successor = (
-                                        (entry.next_compact << 11)
-                                        | entry.next_set_id
-                                    )
-                                else:
-                                    tag_ = id2tag.get(entry.next_compact)
-                                    if tag_ is not None:
-                                        successor = (
-                                            (tag_ << 11) | entry.next_set_id
-                                        )
+                        successor = lookup(cursor, spc)
                         if successor is None:
+                            observe_access(cursor, spc)
                             break
                         if successor in seen:
                             break
                         seen.add(successor)
-                        cand.append(successor)
+                        cand_t.append(cursor)
+                        cand_s.append(successor)
                         cursor = successor
                     # pop+reinsert == get+set+move_to_end, one op cheaper.
                     prev_line = tu.pop(spc, None)
@@ -1005,80 +702,29 @@ def _build_core(
                                 bucket.move_to_end(prev_line)
                                 if len(bucket) > smp_ways:
                                     bucket.popitem(last=False)
-                            if ns and prev_line in idx_l[prev_line & smask]:
+                            if contains(prev_line):
                                 allowed = True
                             else:
                                 cf = pattern_conf.get(spc)
                                 allowed = cf is None or cf >= alloc_thr
                         else:
                             allowed = True
-                        if not allowed:
-                            tg_skipped += 1
+                        if allowed:
+                            learn(prev_line, line_, spc)
                         else:
-                            st_updates += 1
-                            st_llc += 1
-                            compact, sid = _encode_successor(line_)
-                            entry = None
-                            if ns:
-                                set_idx = prev_line & smask
-                                way = idx_l[set_idx].get(prev_line)
-                                if way is not None:
-                                    entry = ways_l[set_idx][way]
-                            if entry is not None:
-                                if (
-                                    entry.next_compact == compact
-                                    and entry.next_set_id == sid
-                                ):
-                                    st_agree += 1
-                                    entry.confidence = 1
-                                elif entry.confidence > 0:
-                                    st_conflict += 1
-                                    entry.confidence = 0
-                                else:
-                                    st_conflict += 1
-                                    entry.next_compact = compact
-                                    entry.next_set_id = sid
-                                    entry.confidence = 1
-                            elif ns:
-                                frees = frees_l[set_idx]
-                                if frees:
-                                    way = frees.pop()
-                                else:
-                                    ru = reuse_l[set_idx]
-                                    tc = last_touch_l[set_idx]
-                                    scores = [
-                                        (ru[w_], tc[w_])
-                                        for w_ in range(len(ru))
-                                    ]
-                                    way = scores.index(min(scores))
-                                    victim = ways_l[set_idx][way]
-                                    del idx_l[set_idx][victim.trigger]
-                                    tc[way] = -1
-                                    ru[way] = 0
-                                    st_evictions += 1
-                                    if ev_store is not None:
-                                        ev_store.emit(
-                                            "meta_store.evict", "debug",
-                                            set=set_idx, way=way,
-                                            trigger=victim.trigger,
-                                        )
-                                ways_l[set_idx][way] = MetadataEntry(
-                                    prev_line, compact, sid
-                                )
-                                idx_l[set_idx][prev_line] = way
-                                rp._clock += 1
-                                last_touch_l[set_idx][way] = rp._clock
-                                reuse_l[set_idx][way] = 0
-                                st_inserts += 1
+                            tg_skipped += 1
                     if pending is not None:
-                        _apply_resize(pending)
-                    for t_ in cand:
-                        insert_l2_prefetch(t_)
+                        _repartition(pending)
+                    for j_ in range(len(cand_s)):
+                        record_outcome(
+                            cand_t[j_], spc,
+                            insert_l2_prefetch(cand_s[j_]) == "redundant",
+                        )
 
                 train = triangel_train
-                fused_store = store
-                fused_ctrl = ctrl
                 fused_triangel = True
+            fused_triage = True
+            fused_ctrl = ctrl
 
         elif type(pf) is BestOffsetPrefetcher:
             bo = pf
@@ -1177,16 +823,8 @@ def _build_core(
         counters.l1pf_issued = l1_iss
         counters.l1pf_redundant = l1_red
         counters.l1pf_fills_from_dram = l1_dram
-        if fused_store is not None:
-            fused_store.lookups = st_lookups
-            fused_store.lookup_hits = st_hits
-            fused_store.updates = st_updates
-            fused_store.inserts = st_inserts
-            fused_store.evictions = st_evictions
-            fused_store.llc_accesses = st_llc
-            fused_store.update_agreements = st_agree
-            fused_store.update_conflicts = st_conflict
-            pf.metadata_llc_accesses = st_llc
+        if fused_triage:
+            pf.metadata_llc_accesses = pf.store.llc_accesses
         if fused_ctrl is not None:
             fused_ctrl._accesses_this_epoch = ctrl_acc
         if fused_triangel:
@@ -1202,15 +840,6 @@ def _build_core(
     def traffic() -> tuple:
         return t_prefetch, t_writeback, t_metadata
 
-    if fused_store is not None:
-        st_lookups = fused_store.lookups
-        st_hits = fused_store.lookup_hits
-        st_updates = fused_store.updates
-        st_inserts = fused_store.inserts
-        st_evictions = fused_store.evictions
-        st_llc = fused_store.llc_accesses
-        st_agree = fused_store.update_agreements
-        st_conflict = fused_store.update_conflicts
     return _FlatCore(L1, L2, insert_l1_prefetch, train, sync, reset, traffic)
 
 

@@ -110,7 +110,8 @@ def simulate_multicore(
         wall_start,
     )
     # One instance handed to every core (a live-instance spec) cannot be
-    # mirrored per core: its statistics would be split across mirrors.
+    # trained by per-core fused trainers: their local partition-epoch
+    # and sample-table counts would split its statistics.
     built = [pf for pf in prefetchers if pf is not None]
     mirror_ok = len({id(pf) for pf in built}) == len(built)
     cores = [

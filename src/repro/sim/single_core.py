@@ -58,7 +58,7 @@ def attach_observability(
     for triage in triages:
         triage.events = run
         triage.store.events = run
-        triage.store._predictor.events = run
+        triage.store.predictor.events = run
         if triage.controller is not None:
             triage.controller.events = run
         if profiler is not None:

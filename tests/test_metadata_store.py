@@ -90,6 +90,20 @@ def test_resize_preserves_entries_up_to_capacity():
     assert store.occupancy() <= 1024 // ENTRY_BYTES
 
 
+def test_shrink_keeps_lowest_old_sets_not_newest_entries():
+    """Resize re-installs survivors old set by old set, ways in order."""
+    store = MetadataStore(capacity_bytes=2 * ENTRY_BYTES * ENTRIES_PER_LINE)
+    assert store.num_sets == 2
+    older = [2 * i for i in range(ENTRIES_PER_LINE)]  # set 0, filled first
+    newer = [2 * i + 1 for i in range(ENTRIES_PER_LINE)]  # set 1, after
+    for trigger in older + newer:
+        store.update(trigger, trigger + 1000)
+    store.resize(ENTRY_BYTES * ENTRIES_PER_LINE)  # one set
+    assert [entry.trigger for entry in store.entries()] == older
+    assert not any(store.contains(trigger) for trigger in newer)
+    assert store.lookup(older[-1]) == older[-1] + 1000
+
+
 def test_llc_access_accounting():
     store = MetadataStore(capacity_bytes=4096)
     store.lookup(1)
@@ -119,13 +133,12 @@ def test_unknown_policy_rejected():
 def test_record_prefetch_outcome_redundant_ignored():
     store = MetadataStore(capacity_bytes=4096)
     # Redundant outcomes must not feed the Hawkeye sampler.
-    policy = store._policy
-    before = sum(s.accesses for s in policy._samplers.values())
+    before = store.sampler_accesses()
     store.record_prefetch_outcome(1, pc=5, redundant=True)
-    after = sum(s.accesses for s in policy._samplers.values())
+    after = store.sampler_accesses()
     assert before == after
     store.record_prefetch_outcome(1, pc=5, redundant=False)
-    final = sum(s.accesses for s in policy._samplers.values())
+    final = store.sampler_accesses()
     assert final == after + 1
 
 
@@ -174,7 +187,7 @@ def test_nonuniform_near_is_lru_bounded():
     for t in (1, 2, 3):
         store.update(t, t + 10)
         store.lookup(t)  # promote each into the near level
-    assert len(store._near) == 2
+    assert len(store.near_triggers()) == 2
     charged = store.llc_accesses
     store.lookup(1)  # evicted from near (LRU): must fall through to far
     assert store.llc_accesses == charged + 1
@@ -191,7 +204,7 @@ def test_nonuniform_eviction_invalidates_near_copy():
     # near-resident one its near copy must go too.
     newcomer = ENTRIES_PER_LINE * num_sets
     store.update(newcomer, newcomer + 1)
-    for trigger in store._near:
+    for trigger in store.near_triggers():
         assert store.contains(trigger)
 
 
@@ -199,9 +212,9 @@ def test_nonuniform_resize_clears_near_level():
     store = MetadataStore(capacity_bytes=4096, index_mode="nonuniform")
     store.update(1, 2)
     store.lookup(1)
-    assert store._near
+    assert store.near_triggers()
     store.resize(8192)
-    assert not store._near
+    assert not store.near_triggers()
 
 
 def test_uniform_mode_never_touches_near_level():
@@ -210,7 +223,7 @@ def test_uniform_mode_never_touches_near_level():
     store.lookup(1)
     store.lookup(1)
     assert store.near_hits == 0
-    assert not store._near
+    assert not store.near_triggers()
 
 
 def test_unknown_index_mode_rejected():

@@ -97,23 +97,20 @@ def test_sandbox_candidates_positive_and_bounded(stream):
 
 
 def _assert_store_invariants(store) -> None:
-    """Structural invariants of the set-associative metadata arrays."""
+    """Structural invariants of the set-associative metadata store."""
+    entries = store.entries()
+    triggers = [entry.trigger for entry in entries]
+    # Each resident trigger appears once, is found by the index, and the
+    # index holds nothing else.
+    assert len(set(triggers)) == len(triggers) == store.occupancy()
     assert store.occupancy() <= store.capacity_entries
-    for set_idx in range(store.num_sets):
-        ways = store._ways[set_idx]
-        index = store._index[set_idx]
-        free = store._free[set_idx]
-        # The index maps exactly the occupied ways, and each mapped way
-        # actually holds the trigger it is indexed under.
-        assert len(index) + len(free) == ENTRIES_PER_LINE
-        for trigger, way in index.items():
-            entry = ways[way]
-            assert entry is not None
-            assert entry.trigger == trigger
-            assert entry.confidence in (0, 1)
-            assert store._set_of(trigger) == set_idx
-        for way in free:
-            assert ways[way] is None
+    assert all(store.contains(trigger) for trigger in triggers)
+    # entries() lists set by set: every entry sits in its trigger's set,
+    # and no set holds more than one line's worth of entries.
+    sets = [trigger & (store.num_sets - 1) for trigger in triggers]
+    assert sets == sorted(sets)
+    assert all(sets.count(s) <= ENTRIES_PER_LINE for s in set(sets))
+    assert all(entry.confidence in (0, 1) for entry in entries)
 
 
 @settings(max_examples=25, deadline=None)

@@ -77,12 +77,11 @@ def test_feedback_trains_only_nonredundant():
     feed(pf, 0xA, [0, 2])
     candidates = pf.observe(0xA, 0)
     assert len(candidates) == 1
-    policy = pf.store._policy
-    before = sum(s.accesses for s in policy._samplers.values())
+    before = pf.store.sampler_accesses()
     pf.feedback(candidates[0], "redundant")
-    assert sum(s.accesses for s in policy._samplers.values()) == before
+    assert pf.store.sampler_accesses() == before
     pf.feedback(candidates[0], "dram")
-    assert sum(s.accesses for s in policy._samplers.values()) == before + 1
+    assert pf.store.sampler_accesses() == before + 1
 
 
 def test_dynamic_partition_callback_fires():
