@@ -67,8 +67,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.config import ENGINES
-
 #: ``cache`` subcommand fallback when neither --cache-dir nor
 #: ``REPRO_CACHE_DIR`` names a directory.
 DEFAULT_CACHE_DIR = "results/cache"
@@ -159,11 +157,6 @@ def main(argv=None) -> int:
         "--report", action="store_true",
         help="write a self-contained HTML report next to the observability "
         "artifacts after the run (implies --obs; also REPRO_REPORT=1)",
-    )
-    run_parser.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help="simulation engine for single-core runs (default: analytic; "
-        "also settable via REPRO_ENGINE)",
     )
 
     report_parser = sub.add_parser(
@@ -344,11 +337,6 @@ def main(argv=None) -> int:
         help="fail (exit 1) when --trace-overhead exceeds this percent "
         "(default: 2.0)",
     )
-    bench_parser.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help="simulation engine to benchmark under (default: analytic; "
-        "also settable via REPRO_ENGINE; stamped into the record)",
-    )
 
     compare_parser = sub.add_parser(
         "compare", help="diff two bench records; non-zero exit on regression"
@@ -425,11 +413,6 @@ def main(argv=None) -> int:
         )
 
     args = parser.parse_args(argv)
-
-    if getattr(args, "engine", None):
-        # The engine choice travels via the environment so the figure
-        # harnesses (and their worker processes) resolve it uniformly.
-        os.environ["REPRO_ENGINE"] = args.engine
 
     if args.command == "cache":
         return _cache_command(args)

@@ -88,7 +88,7 @@ def _name_is_registered(name: str) -> bool:
     return factory.is_registered(name) or common.is_registered(name)
 
 
-def spec_fingerprint(spec, engine: Optional[str] = None) -> Dict[str, object]:
+def spec_fingerprint(spec) -> Dict[str, object]:
     """A canonical dict identifying a prefetcher spec, for key building.
 
     Accepts the cache-friendly subset of
@@ -98,14 +98,6 @@ def spec_fingerprint(spec, engine: Optional[str] = None) -> Dict[str, object]:
     name into the fingerprint, so a Triangel config never collides with
     the Triage config sharing its fields).
 
-    The *simulation engine* is folded in as well: ``engine`` defaults to
-    the :envvar:`REPRO_ENGINE` resolution, and any non-default engine
-    adds an ``"engine"`` entry to the fingerprint.  Engines are required
-    to be bit-identical, but the manifests they stamp are not, so a
-    warm-cache result recorded under one engine is never served to a run
-    requesting the other.  The default (``"analytic"``) engine adds no
-    entry, which keeps every pre-existing cache key addressable.
-
     Name strings are validated against the builder registries
     (``sim.factory.is_registered`` and ``experiments.common.
     is_registered``): an unknown name raises :class:`UncacheableSpec`
@@ -114,7 +106,6 @@ def spec_fingerprint(spec, engine: Optional[str] = None) -> Dict[str, object]:
     miss forever while looking healthy.  Instances and factories also
     raise :class:`UncacheableSpec`.
     """
-    from repro import config as config_mod
     from repro.core.triage import TriageConfig
 
     if spec is None:
@@ -135,9 +126,6 @@ def spec_fingerprint(spec, engine: Optional[str] = None) -> Dict[str, object]:
             f"prefetcher spec of type {type(spec).__name__} has no stable "
             "fingerprint"
         )
-    resolved = engine if engine is not None else config_mod.engine_env()
-    if resolved != "analytic":
-        fingerprint["engine"] = resolved
     return fingerprint
 
 

@@ -449,22 +449,12 @@ def run_single(
     machine: Optional[MachineConfig] = None,
     charge_metadata_to_llc: bool = True,
 ) -> SimulationResult:
-    """One memoized single-core run of ``bench`` under ``prefetcher``.
-
-    The resolved simulation engine (:envvar:`REPRO_ENGINE`) is part of
-    both the process-memo key and -- through
-    :func:`repro.cache.spec_fingerprint` -- the disk key, so results
-    computed under one engine are never served to a run requesting the
-    other even though the engines are bit-identical: their manifests
-    (and therefore reporting/bench provenance) differ.
-    """
-    from repro import config as config_mod
-
+    """One memoized single-core run of ``bench`` under ``prefetcher``."""
     n = n or N_SINGLE
     machine_key = machine or MACHINE
     key = (
         suite, bench, prefetcher, n, seed, degree,
-        machine_key, charge_metadata_to_llc, config_mod.engine_env(),
+        machine_key, charge_metadata_to_llc,
     )
     if key not in _RUN_CACHE:
         disk = _disk_cache()
@@ -520,7 +510,6 @@ def warm_grid(
     how the figure harnesses inherit the CLI's ``--retries`` /
     ``--cell-timeout`` / ``--resume`` flags.
     """
-    from repro import config as config_mod
     from repro.sim import parallel
 
     n = n or N_SINGLE
@@ -528,15 +517,11 @@ def warm_grid(
         n_jobs = parallel.jobs_from_env(default=1)
     if n_jobs <= 1:
         return 0
-    engine = config_mod.engine_env()  # workers inherit REPRO_ENGINE
     cells = []
     keys = []
     for bench in benches:
         for prefetcher in prefetchers:
-            key = (
-                suite, bench, prefetcher, n, seed, degree, MACHINE, True,
-                engine,
-            )
+            key = (suite, bench, prefetcher, n, seed, degree, MACHINE, True)
             if key in _RUN_CACHE:
                 continue
             keys.append(key)

@@ -47,8 +47,17 @@ _MISS = AccessOutcome(hit=False)
 _PLAIN_HIT = AccessOutcome(hit=True)
 
 
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
+def set_count(
+    name: str, size_bytes: int, ways: int, line_size: int = LINE_SIZE
+) -> int:
+    """Sets of a ``size_bytes``/``ways`` cache; raises unless a power of two."""
+    num_sets = size_bytes // (line_size * ways)
+    if num_sets <= 0 or num_sets & (num_sets - 1):
+        raise ValueError(
+            f"{name}: geometry {size_bytes}B/{ways}-way/{line_size}B "
+            f"yields {num_sets} sets (must be a positive power of two)"
+        )
+    return num_sets
 
 
 class Cache:
@@ -74,12 +83,7 @@ class Cache:
         line_size: int = LINE_SIZE,
         policy: Union[str, ReplacementPolicy] = "lru",
     ):
-        num_sets = size_bytes // (line_size * ways)
-        if num_sets <= 0 or not _is_pow2(num_sets):
-            raise ValueError(
-                f"{name}: geometry {size_bytes}B/{ways}-way/{line_size}B "
-                f"yields {num_sets} sets (must be a positive power of two)"
-            )
+        num_sets = set_count(name, size_bytes, ways, line_size)
         self.name = name
         self.size_bytes = size_bytes
         self.total_ways = ways

@@ -213,17 +213,10 @@ def bench_experiment(
         if ephemeral:
             obs.disable()
 
-    from repro import config as config_mod
-
     timed_total = sum(wall_times)
     record: Dict[str, object] = {
         "schema": SCHEMA_VERSION,
         "experiment": name,
-        # Optional provenance field (absent in pre-engine records, which
-        # compare as "analytic"): which simulation engine produced the
-        # timings, so `compare` never reads a batched-vs-scalar speedup
-        # as a regression or an improvement in the code under test.
-        "engine": config_mod.engine_env(),
         "quick": bool(quick),
         "repeats": int(repeats),
         "warmup": int(max(0, warmup)),
@@ -465,15 +458,6 @@ def compare_records(
         comparable = False
         comparison.notes.append(
             "machine fingerprints differ; wall-time comparison skipped"
-        )
-    base_engine = baseline.get("engine", "analytic")
-    cand_engine = candidate.get("engine", "analytic")
-    if base_engine != cand_engine:
-        comparable = False
-        comparison.notes.append(
-            f"engines differ ({base_engine} vs {cand_engine}); wall-time "
-            "comparison skipped (KPIs must still agree: engines are "
-            "bit-identical by contract)"
         )
     base_t = float(baseline["wall_time_mean_s"])
     cand_t = float(candidate["wall_time_mean_s"])

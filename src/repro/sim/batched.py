@@ -1,13 +1,14 @@
-"""Flat struct-of-arrays simulation engine.
+"""Flat struct-of-arrays building blocks of the simulation engines.
 
-:func:`simulate_batched` is the single-core driver and
-:func:`repro.sim.multi_core.simulate_multicore` the multi-core one; both
-step cores built by :func:`_build_core` over a :class:`_FlatLLC`.
-Results are **bit-identical** to the object-graph engines in
-:mod:`repro.sim.single_core` and :mod:`repro.sim.multi_core` (same
-counters, traffic, cycles, metadata statistics and partition history)
-while running several times faster.  The speed comes from four
-structural changes, none of which alters simulated behaviour:
+:func:`repro.sim.single_core.simulate` and
+:func:`repro.sim.multi_core.simulate_multicore` both step cores built
+by :func:`_build_core` over a :class:`_FlatLLC`; the demand path of one
+core is :func:`_run_segment`, its L1 stride prefetches a precomputed
+:func:`_stride_schedule`.  Results are **bit-identical** to the
+object-graph loops the drivers keep as their reference and fallback
+(same counters, traffic, cycles, metadata statistics and partition
+history) while running several times faster.  The speed comes from
+four structural changes, none of which alters simulated behaviour:
 
 * **Trace pre-decode** -- the byte-address/PC/is-write streams are
   decoded once up front with ``numpy`` (line addresses, run-length
@@ -38,94 +39,65 @@ structural changes, none of which alters simulated behaviour:
   several times faster than the object engine because the demand path
   is flat.  Profiled runs keep the fused trainers; their time is filed
   under the single ``batched_core`` phase (``metadata_store`` is only
-  timed on the ``observe`` path).
+  timed on the ``observe`` path, as a sub-slice of ``batched_core``).
 
-Configurations the flat memory model cannot represent (non-LRU LLC
-policies, unknown L1 prefetchers, non-power-of-two set counts,
-addresses beyond int64) bail out to the object engine rather than
-approximate.
+The flat LLC is LRU only: a run with another LLC policy takes the
+object-graph loop (:func:`_bail_reason`).  Geometry the object engine
+rejects raises its own error here too (:func:`_set_counts`).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import replace
 from heapq import heapify, heappop, heappush
-from typing import Callable, List, NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import Callable, List, NamedTuple, Optional
 
 from repro.core.partition import PartitionController
 from repro.core.triage import TriagePrefetcher
-from repro.memory.dram import CATEGORIES, DramModel
+from repro.memory.cache import set_count
 from repro.memory.hierarchy import CoreCounters
-from repro.obs import ObsSession, RunObserver, get_session
-from repro.obs.manifest import build_manifest
 from repro.prefetchers.base import BasePrefetcher
 from repro.prefetchers.best_offset import BestOffsetPrefetcher
-from repro.prefetchers.hybrid import HybridPrefetcher
 from repro.prefetchers.sms import SmsPrefetcher
 from repro.prefetchers.triangel import SampleEntry, TriangelPrefetcher
 from repro.sim.config import MachineConfig
-from repro.sim.factory import PrefetcherSpec, make_prefetcher
-from repro.sim.single_core import (
-    _finish_sim_span,
-    _open_sim_span,
-    _register_dram_metrics,
-    _register_run_metrics,
-    attach_observability,
-    simulate,
-    triage_components,
-)
-from repro.sim.stats import SimulationResult
-from repro.sim.timing import EpochLoad, resolve_epoch
 from repro.workloads.base import Trace
-
-__all__ = ["simulate_batched"]
 
 
 def _bail_reason(config: MachineConfig) -> Optional[str]:
     """Why this config needs the object engine (None = flat is fine)."""
     if config.llc_policy != "lru":
         return "non-LRU LLC policy"
-    if config.l1_prefetcher not in ("none", "stride"):
-        return f"unknown l1 prefetcher {config.l1_prefetcher!r}"
     return None
 
 
-def _set_counts(config: MachineConfig, n_cores: int) -> Optional[tuple]:
-    """``(L1, L2, LLC)`` set counts, or None unless all are powers of two.
+def _set_counts(config: MachineConfig, n_cores: int) -> tuple:
+    """``(L1, L2, LLC)`` set counts of ``n_cores`` cores' caches.
 
-    That is the geometry the ``Cache`` constructor accepts; for anything
-    else the object engine raises its canonical error message.
+    Raises the ``Cache`` constructor's error unless each is a positive
+    power of two, as the object engine does.
     """
-    counts = (
-        config.l1_size // (64 * config.l1_ways),
-        config.l2_size // (64 * config.l2_ways),
-        config.llc_size_per_core * n_cores // (64 * config.llc_ways),
+    return (
+        set_count("L1D0", config.l1_size, config.l1_ways),
+        set_count("L2_0", config.l2_size, config.l2_ways),
+        set_count("LLC", config.llc_size_per_core * n_cores, config.llc_ways),
     )
-    if any(sets <= 0 or sets & (sets - 1) for sets in counts):
-        return None
-    return counts
 
 
 def _stride_schedule(
-    lines: List[int], pcs: List[int], heads: Sequence[int], deg: int
+    lines: List[int], pcs: List[int], deg: int
 ) -> List[Optional[tuple]]:
-    """Replay the L1 stride prefetcher over the accesses at ``heads``.
+    """Replay the L1 stride prefetcher over an access stream.
 
     The stride prefetcher's state depends only on the access stream, not
     on cache contents, so its whole candidate schedule can be computed
-    up front.  Entry ``k`` is a tuple of target lines the object
+    up front.  Entry ``i`` is a tuple of target lines the object
     :class:`~repro.prefetchers.stride.StridePrefetcher` would emit at
-    access ``heads[k]`` (``None`` when it emits nothing).
+    access ``i`` (``None`` when it emits nothing).
     """
     st: dict = {}
     out: List[Optional[tuple]] = []
     ap = out.append
-    for i in heads:
-        pc = pcs[i]
-        line = lines[i]
+    for pc, line in zip(pcs, lines):
         e = st.get(pc)
         if e is None:
             if len(st) >= 256:  # StridePrefetcher default table_size
@@ -162,23 +134,25 @@ def _stride_schedule(
 
 
 def _l1_schedule(
-    trace: Trace, lines: List[int], pcs: List[int], heads: List[int], deg: int
+    trace: Trace, lines: List[int], pcs: List[int], deg: int
 ) -> List[Optional[tuple]]:
     """Per-head L1 stride-prefetch candidates of one lap, cached on the trace.
 
-    Sweeps run every prefetcher config over the same traces, so the
-    schedule is computed once per ``(trace, degree)``.  Repeated
-    accesses are exact no-ops for the table (the entry is already
-    most-recent and a zero stride changes nothing), so heads suffice.
+    ``lines``/``pcs`` are the trace's run heads (accesses that do not
+    repeat their predecessor).  Sweeps run every prefetcher config over
+    the same traces, so the schedule is computed once per
+    ``(trace, degree)``.  Repeated accesses are exact no-ops for the
+    table (the entry is already most-recent and a zero stride changes
+    nothing), so heads suffice.
     """
     cached = getattr(trace, "_batched_l1pf", None)
     if (
         cached is not None
         and cached[0] == deg
-        and len(cached[1]) == len(heads)
+        and len(cached[1]) == len(lines)
     ):
         return cached[1]
-    out = _stride_schedule(lines, pcs, heads, deg)
+    out = _stride_schedule(lines, pcs, deg)
     try:
         trace._batched_l1pf = (deg, out)
     except Exception:  # noqa: BLE001 -- slots-style traces: just recompute
@@ -205,10 +179,12 @@ def _run_segment(
     insert_l1,
     train,
 ) -> tuple:
-    """Demand path for accesses ``[a, b)`` with no epoch/warmup checks.
+    """Demand path for run heads ``[a, b)`` with no epoch/warmup checks.
 
-    The driver sizes segments so no epoch or warmup boundary falls
-    inside ``[a, b)``; the body then runs with true local counters and
+    The arrays hold a trace's run heads (accesses that do not repeat
+    their predecessor), with ``sched`` their L1 stride prefetches.  The
+    driver sizes segments so no epoch or warmup boundary falls inside
+    ``[a, b)``; the body then runs with true local counters and
     returns them as *deltas* -- the trainer closures keep mutating the
     engine's own traffic cells, and addition commutes, so the caller can
     fold the deltas in afterwards without lost updates.
@@ -841,479 +817,3 @@ def _build_core(
         return t_prefetch, t_writeback, t_metadata
 
     return _FlatCore(L1, L2, insert_l1_prefetch, train, sync, reset, traffic)
-
-
-def simulate_batched(
-    trace: Trace,
-    prefetcher: PrefetcherSpec = None,
-    machine: Optional[MachineConfig] = None,
-    degree: int = 1,
-    epoch_accesses: int = 5_000,
-    charge_metadata_to_llc: bool = True,
-    warmup_accesses: int = 0,
-    name: Optional[str] = None,
-    obs: Optional[ObsSession] = None,
-) -> SimulationResult:
-    """Scalar-identical single-core simulation, struct-of-arrays style.
-
-    Same contract as :func:`repro.sim.single_core.simulate`; results are
-    bit-identical (the differential tests enforce this).  Configurations
-    outside the flat model bail out to the scalar engine transparently.
-    The run is split into epoch/warmup-bounded segments (or, on traces
-    with repeats, a per-head loop that bulk-skips L1 streaks) over one
-    :func:`_build_core` core and a :class:`_FlatLLC`.
-    """
-    wall_start = time.perf_counter()
-    config = machine or MachineConfig.single_core()
-    if config.n_cores != 1:
-        raise ValueError("simulate() is single-core; use simulate_multicore()")
-    if _bail_reason(config) is not None:
-        return simulate(
-            trace, prefetcher, machine=machine, degree=degree,
-            epoch_accesses=epoch_accesses,
-            charge_metadata_to_llc=charge_metadata_to_llc,
-            warmup_accesses=warmup_accesses, name=name, obs=obs,
-            engine="analytic",
-        )
-
-    # ---- trace pre-decode (struct-of-arrays) ---------------------------
-    n = len(trace)
-    try:
-        line_arr = np.asarray(trace.addrs, dtype=np.int64) >> 6
-        pc_arr = np.asarray(trace.pcs, dtype=np.int64)
-        write_arr = np.asarray(trace.writes, dtype=np.bool_)
-    except OverflowError:
-        # Addresses beyond int64: rare synthetic corner, scalar handles it.
-        return simulate(
-            trace, prefetcher, machine=machine, degree=degree,
-            epoch_accesses=epoch_accesses,
-            charge_metadata_to_llc=charge_metadata_to_llc,
-            warmup_accesses=warmup_accesses, name=name, obs=obs,
-            engine="analytic",
-        )
-    lines = line_arr.tolist()
-    pcs = pc_arr.tolist()
-    ws = write_arr.tolist()
-    # Run-length analysis: an access repeating its predecessor's
-    # (line, pc, is_write) triple is a guaranteed L1 hit whose only
-    # effect is three counter increments -- the driver bulk-skips them.
-    if n:
-        rep = np.empty(n, dtype=np.bool_)
-        rep[0] = False
-        np.equal(line_arr[1:], line_arr[:-1], out=rep[1:])
-        rep[1:] &= pc_arr[1:] == pc_arr[:-1]
-        rep[1:] &= write_arr[1:] == write_arr[:-1]
-        heads_arr = np.flatnonzero(~rep)
-        run_ends = np.append(heads_arr[1:], n)
-        bh = heads_arr.tolist()
-        bx = (run_ends - heads_arr - 1).tolist()
-    else:
-        bh = []
-        bx = []
-
-    sets = _set_counts(config, 1)
-    if sets is None:
-        # Same geometry the Cache constructor would reject; let the
-        # scalar engine raise its canonical error message.
-        return simulate(
-            trace, prefetcher, machine=machine, degree=degree,
-            epoch_accesses=epoch_accesses,
-            charge_metadata_to_llc=charge_metadata_to_llc,
-            warmup_accesses=warmup_accesses, name=name, obs=obs,
-            engine="analytic",
-        )
-
-    pf = make_prefetcher(prefetcher, degree=degree)
-    triages = triage_components(pf)
-
-    # ---- flat cache hierarchy ------------------------------------------
-    llc = _FlatLLC(config, sets[2], triages, charge_metadata_to_llc)
-    m1, m2, m3 = sets[0] - 1, sets[1] - 1, llc.mask
-    w1, w2 = config.l1_ways, config.l2_ways
-    L3 = llc.sets
-    free3 = llc.free
-
-    dram = DramModel(
-        base_latency_cycles=config.dram_latency_cycles,
-        bandwidth_bytes_per_cycle=config.dram_bandwidth_bytes_per_cycle,
-    )
-
-    # ---- demand counters (flat locals, synced into ``counters``) -------
-    counters = CoreCounters()
-    acc = l1h = l2h = l2ph = llch = dramc = l1_useful = 0
-    # Demand-path bytes; the core and the LLC partition count the rest.
-    t_demand = t_writeback = 0
-
-    # ---- observability --------------------------------------------------
-    session = obs if obs is not None else get_session()
-    run: Optional[RunObserver] = None
-    prof = None
-    sim_span = None
-    if session is not None:
-        run = session.begin_run(
-            name or trace.name, pf.name if pf is not None else "none"
-        )
-        prof = session.profiler
-        attach_observability(run, triages, dram=dram, profiler=prof)
-        sim_span = _open_sim_span(
-            session, run, "batched",
-            name or trace.name, pf.name if pf is not None else "none",
-            t=wall_start,
-        )
-    prev_store = [(0, 0, 0) for _ in triages]  # (lookups, hits, evictions)
-
-    core = _build_core(config, llc, pf, triages)
-    L1, L2 = core.l1, core.l2
-    insert_l1_prefetch = core.insert_l1
-    train = core.train
-
-    # ---- precomputed L1 stride schedule --------------------------------
-    sched = None
-    if config.l1_prefetcher == "stride":
-        sched = _l1_schedule(trace, lines, pcs, bh, config.l1_prefetcher_degree)
-
-    # ---- mirror sync / epoch plumbing ----------------------------------
-    def sync_state() -> None:
-        counters.accesses = acc
-        counters.l1_hits = l1h
-        counters.l2_hits = l2h
-        counters.l2_prefetch_hits = l2ph
-        counters.llc_hits = llch
-        counters.dram_accesses = dramc
-        counters.l1pf_useful = l1_useful
-        core.sync(counters)
-
-    def traffic_totals() -> dict:
-        """Off-chip bytes by category: demand path, core and partition."""
-        t_pf, t_wb, t_md = core.traffic()
-        return {
-            "demand": t_demand,
-            "prefetch": t_pf,
-            "writeback": t_writeback + t_wb + llc.writeback,
-            "metadata": t_md,
-        }
-
-    total_cycles = 0.0
-    prev = (0, 0, 0)  # (l2_hits, llc_hits, dram_accesses)
-    prev_bytes = 0
-    prev_coverage = (0, 0)
-    in_epoch = 0
-    in_warmup = warmup_accesses > 0
-    traffic_offset: dict = {}
-    metadata_llc_offset = 0
-    metadata_dram_offset = 0
-    ipa = trace.instr_per_access
-    mlp = trace.mlp
-
-    def sample_epoch(load: EpochLoad, epoch_bytes: int, cycles: float) -> None:
-        nonlocal prev_coverage
-        dram_info = dram.epoch_log[-1] if dram.epoch_log else {}
-        useful = l2ph
-        would_miss = useful + llch + dramc
-        d_useful = useful - prev_coverage[0]
-        d_would_miss = would_miss - prev_coverage[1]
-        prev_coverage = (useful, would_miss)
-        row = {
-            "access_idx": acc,
-            "cycles": cycles,
-            "l2_hits": load.l2_hits,
-            "llc_hits": load.llc_hits,
-            "dram_accesses": load.dram_accesses,
-            "epoch_bytes": epoch_bytes,
-            "llc_data_ways": llc.active,
-            "coverage": d_useful / d_would_miss if d_would_miss else 0.0,
-            "dram_utilization": dram_info.get("utilization", 0.0),
-            "dram_queue_penalty_cycles": dram_info.get(
-                "queue_penalty_cycles", 0.0
-            ),
-        }
-        for i, triage in enumerate(triages):
-            store_ = triage.store
-            lookups, hits, evictions = (
-                store_.lookups, store_.lookup_hits, store_.evictions,
-            )
-            d_lookups = lookups - prev_store[i][0]
-            d_hits = hits - prev_store[i][1]
-            prefix = f"c0.t{i}." if len(triages) > 1 else "c0."
-            capacity = 0 if store_.unbounded else store_.capacity_bytes
-            row[prefix + "meta_capacity_bytes"] = capacity
-            row[prefix + "meta_ways"] = config.metadata_ways(capacity)
-            row[prefix + "meta_hit_rate"] = (
-                d_hits / d_lookups if d_lookups else 0.0
-            )
-            row[prefix + "meta_evictions"] = evictions - prev_store[i][2]
-            row[prefix + "meta_occupancy"] = store_.occupancy()
-            prev_store[i] = (lookups, hits, evictions)
-        session.registry.histogram("dram.epoch_utilization_pct").observe(
-            int(row["dram_utilization"] * 100)
-        )
-        run.sample_epoch(**row)
-
-    def close_epoch() -> None:
-        nonlocal prev, prev_bytes, in_epoch, total_cycles
-        if in_epoch == 0:
-            return
-        total_bytes = sum(traffic_totals().values())
-        if in_warmup:
-            prev = (l2h, llch, dramc)
-            prev_bytes = total_bytes
-            in_epoch = 0
-            return
-        load = EpochLoad(
-            instructions=in_epoch * ipa,
-            l2_hits=l2h - prev[0],
-            llc_hits=llch - prev[1],
-            dram_accesses=dramc - prev[2],
-            mlp=mlp,
-        )
-        epoch_bytes = total_bytes - prev_bytes
-        cycles = resolve_epoch([load], epoch_bytes, config, dram)[0]
-        total_cycles += cycles
-        if run is not None:
-            sync_state()
-            sample_epoch(load, epoch_bytes, cycles)
-        prev = (l2h, llch, dramc)
-        prev_bytes = total_bytes
-        in_epoch = 0
-
-    def warmup_reset() -> None:
-        nonlocal acc, l1h, l2h, l2ph, llch, dramc, l1_useful
-        nonlocal traffic_offset, metadata_llc_offset, metadata_dram_offset
-        nonlocal total_cycles, prev, prev_bytes, prev_coverage, in_epoch
-        nonlocal in_warmup, prev_store
-        sync_state()
-        traffic_offset = traffic_totals()
-        metadata_llc_offset = sum(t.store.llc_accesses for t in triages)
-        if pf is not None:
-            metadata_dram_offset = pf.metadata_dram_accesses
-            if isinstance(pf, HybridPrefetcher):
-                metadata_dram_offset = pf.total_metadata_dram_accesses
-        acc = l1h = l2h = l2ph = llch = dramc = l1_useful = 0
-        core.reset()
-        total_cycles = 0.0
-        prev = (0, 0, 0)
-        prev_bytes = sum(traffic_offset.values())
-        prev_coverage = (0, 0)
-        in_epoch = 0
-        in_warmup = False
-        if dram.epoch_log:
-            dram.epoch_log.clear()
-        prev_store = [
-            (t.store.lookups, t.store.lookup_hits, t.store.evictions)
-            for t in triages
-        ]
-
-    def bulk_l1_hits(count: int) -> None:
-        """Skip ``count`` guaranteed-L1-hit repeats, honouring epochs."""
-        nonlocal acc, l1h, in_epoch
-        while count:
-            step = epoch_accesses - in_epoch
-            if step > count:
-                step = count
-            acc += step
-            l1h += step
-            in_epoch += step
-            count -= step
-            if in_epoch >= epoch_accesses:
-                close_epoch()
-
-    # ---- main loop ------------------------------------------------------
-    wa = warmup_accesses
-    w_pending = 0 < wa  # warmup boundary not yet crossed
-    if len(bh) == n:
-        # No repeats anywhere (the common case for real traces): run the
-        # demand path in epoch-sized segments with true local counters.
-        idx = 0
-        while idx < n:
-            if w_pending and idx == wa:
-                warmup_reset()
-                w_pending = False
-            stop = idx + (epoch_accesses - in_epoch)
-            if stop > n:
-                stop = n
-            if w_pending and stop > wa:
-                stop = wa
-            d = _run_segment(
-                idx, stop, pcs, lines, ws, sched, L1, L2, L3, free3,
-                m1, m2, m3, w1, w2, insert_l1_prefetch, train,
-            )
-            l1h += d[0]
-            l2h += d[1]
-            l2ph += d[2]
-            llch += d[3]
-            dramc += d[4]
-            l1_useful += d[5]
-            t_demand += d[6]
-            t_writeback += d[7]
-            acc += stop - idx
-            in_epoch += stop - idx
-            if in_epoch >= epoch_accesses:
-                close_epoch()
-            idx = stop
-        bh = []  # the general loop below has nothing left to do
-    for k in range(len(bh)):
-        i = bh[k]
-        if w_pending and i == wa:
-            warmup_reset()
-            w_pending = False
-        pc = pcs[i]
-        line = lines[i]
-        w = ws[i]
-        acc += 1
-        in_epoch += 1
-        tk = -1  # -1 no training event; 0 prefetch_hit False; 1 True
-        d1 = L1[line & m1]
-        v = d1.get(line)
-        if v is not None:
-            l1h += 1
-            del d1[line]
-            d1[line] = v | 1 if w else v
-        else:
-            d2 = L2[line & m2]
-            v2 = d2.get(line)
-            if v2 is not None:
-                l2h += 1
-                kd = v2 >> 1
-                if kd == 2:
-                    l2ph += 1
-                    tk = 1
-                elif kd == 1:
-                    l1_useful += 1
-                    tk = 0
-                del d2[line]
-                d2[line] = (v2 & 1) | 1 if w else v2 & 1
-            else:
-                tk = 0
-                s3 = line & m3
-                d3 = L3[s3]
-                v3 = d3.get(line)
-                if v3 is not None:
-                    llch += 1
-                    del d3[line]
-                    d3[line] = v3
-                else:
-                    dramc += 1
-                    t_demand += 64
-                    fr = free3[s3]
-                    if fr:
-                        way3 = heappop(fr)
-                    else:
-                        ol, ov = next(iter(d3.items()))
-                        del d3[ol]
-                        way3 = ov >> 1
-                        if ov & 1:
-                            t_writeback += 64
-                    d3[line] = way3 << 1
-                if len(d2) == w2:
-                    ol, ov = next(iter(d2.items()))
-                    del d2[ol]
-                    if ov & 1:
-                        dd = L3[ol & m3]
-                        vv = dd.get(ol)
-                        if vv is not None:
-                            dd[ol] = vv | 1
-                        else:
-                            t_writeback += 64
-                d2[line] = 1 if w else 0
-            if len(d1) == w1:
-                ol, ov = next(iter(d1.items()))
-                del d1[ol]
-                if ov & 1:
-                    dd = L2[ol & m2]
-                    vv = dd.get(ol)
-                    if vv is not None:
-                        dd[ol] = vv | 1
-                    else:
-                        dd = L3[ol & m3]
-                        vv = dd.get(ol)
-                        if vv is not None:
-                            dd[ol] = vv | 1
-                        else:
-                            t_writeback += 64
-            d1[line] = 1 if w else 0
-        if sched is not None:
-            cand_l1 = sched[k]
-            if cand_l1 is not None:
-                for t_ in cand_l1:
-                    insert_l1_prefetch(t_)
-        if tk >= 0 and train is not None:
-            train(pc, line, tk == 1)
-        if in_epoch >= epoch_accesses:
-            close_epoch()
-        extra = bx[k]
-        if extra:
-            if w_pending and wa <= i + extra:
-                bulk_l1_hits(wa - i - 1)
-                warmup_reset()
-                w_pending = False
-                bulk_l1_hits(i + extra - wa + 1)
-            else:
-                bulk_l1_hits(extra)
-    close_epoch()
-    sync_state()
-    llc.detach()
-    loop_seconds = time.perf_counter() - wall_start
-    if prof is not None:
-        prof.add("batched_core", loop_seconds, calls=n)
-
-    # ---- result assembly (mirrors the scalar engine) -------------------
-    metadata_llc = sum(t.store.llc_accesses for t in triages) - metadata_llc_offset
-    metadata_dram = pf.metadata_dram_accesses if pf is not None else 0
-    if isinstance(pf, HybridPrefetcher):
-        metadata_dram = pf.total_metadata_dram_accesses
-    metadata_dram -= metadata_dram_offset
-    partition_history = []
-    final_capacity = None
-    for triage in triages:
-        if triage.controller is not None:
-            partition_history = [
-                d.capacity_bytes for d in triage.controller.decisions
-            ]
-        if not triage.store.unbounded:
-            final_capacity = triage.metadata_capacity_bytes
-
-    measured_accesses = n - min(warmup_accesses, n)
-    totals = traffic_totals()
-    traffic = {
-        category: totals[category] - traffic_offset.get(category, 0)
-        for category in CATEGORIES
-    }
-    manifest = build_manifest(
-        kind="single",
-        workloads=[name or trace.name],
-        prefetcher=pf.name if pf is not None else "none",
-        config=config,
-        seeds=[trace.metadata.get("seed")],
-        trace_length=n,
-        warmup=warmup_accesses,
-        instructions=measured_accesses * trace.instr_per_access,
-        cycles=total_cycles,
-        wall_time_s=time.perf_counter() - wall_start,
-        extra={
-            "engine": "batched",
-            "degree": degree,
-            "charge_metadata_to_llc": charge_metadata_to_llc,
-        },
-    )
-    result = SimulationResult(
-        workload=name or trace.name,
-        prefetcher=pf.name if pf is not None else "none",
-        instructions=measured_accesses * trace.instr_per_access,
-        cycles=total_cycles,
-        counters=replace(counters),
-        traffic=traffic,
-        metadata_llc_accesses=metadata_llc,
-        metadata_dram_accesses=metadata_dram,
-        final_metadata_capacity=final_capacity,
-        partition_history=partition_history,
-        manifest=manifest,
-    )
-    manifest.extra["kpis"] = result.kpis()
-    if run is not None:
-        _register_run_metrics(session, counters, triages)
-        _register_dram_metrics(session, dram)
-        _finish_sim_span(
-            session, sim_span, phases=(("batched_core", loop_seconds),)
-        )
-        run.finish(manifest)
-    return result

@@ -15,7 +15,8 @@ latency -- the mechanism behind Figures 11, 12 and 17.
 :mod:`repro.sim.batched`: N cores from the same per-core builder as the
 single-core driver, stepped round-robin over one shared flat LLC.  The
 object-graph loop (:func:`_simulate_multicore_scalar`) serves only the
-configurations the flat model rejects, with bit-identical results.
+inputs the flat model cannot hold (a non-LRU LLC policy, an empty
+trace, values beyond int64), with bit-identical results.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ import numpy as np
 
 from repro.memory.dram import DramModel
 from repro.memory.hierarchy import CacheHierarchy, CoreCounters
-from repro.obs import ObsSession, get_session
+from repro.obs import ObsSession
 from repro.obs.manifest import build_manifest
 from repro.prefetchers.base import BasePrefetcher
-from repro.prefetchers.hybrid import HybridPrefetcher
 from repro.sim.batched import (
     _FlatLLC,
     _bail_reason,
@@ -45,10 +45,11 @@ from repro.sim.factory import PrefetcherSpec, make_prefetcher
 from repro.sim.single_core import (
     _MetadataPartition,
     _finish_sim_span,
-    _open_sim_span,
+    _metadata_counts,
+    _observe,
+    _partition_outcome,
     _register_dram_metrics,
     _register_run_metrics,
-    attach_observability,
     make_l1_prefetcher,
     triage_components,
 )
@@ -82,8 +83,9 @@ def simulate_multicore(
     config, accesses_per_core = _check_args(traces, machine, accesses_per_core)
     n_cores = len(traces)
     steps = warmup_accesses_per_core + accesses_per_core
-    sets = _set_counts(config, n_cores) if _bail_reason(config) is None else None
-    streams = _decode_streams(traces, steps) if sets is not None else None
+    streams = (
+        _decode_streams(traces, steps) if _bail_reason(config) is None else None
+    )
     if streams is None:
         return _simulate_multicore_scalar(
             traces, prefetcher, machine=machine, degree=degree,
@@ -96,18 +98,18 @@ def simulate_multicore(
     prefetchers: List[Optional[BasePrefetcher]] = [
         make_prefetcher(prefetcher, degree=degree) for _ in range(n_cores)
     ]
+    sets = _set_counts(config, n_cores)
     core_triages = [triage_components(pf) for pf in prefetchers]
-    llc = _FlatLLC(
-        config, sets[2], [t for ts in core_triages for t in ts],
-        charge_metadata_to_llc,
-    )
+    all_triages = [t for ts in core_triages for t in ts]
+    llc = _FlatLLC(config, sets[2], all_triages, charge_metadata_to_llc)
     dram = DramModel(
         base_latency_cycles=config.dram_latency_cycles,
         bandwidth_bytes_per_cycle=config.dram_bandwidth_bytes_per_cycle,
     )
+    stride = make_l1_prefetcher(config) is not None
     session, run, sim_span = _observe(
-        obs, traces, prefetchers, core_triages, dram, "batched-multi",
-        wall_start,
+        obs, "+".join(t.name for t in traces), prefetchers[0], all_triages,
+        dram, "batched-multi", wall_start,
     )
     # One instance handed to every core (a live-instance spec) cannot be
     # trained by per-core fused trainers: their local partition-epoch
@@ -125,9 +127,8 @@ def simulate_multicore(
     lanes = [
         (
             lines, pcs, ws,
-            _stride_schedule(
-                lines, pcs, range(steps), config.l1_prefetcher_degree
-            ) if config.l1_prefetcher == "stride" else None,
+            _stride_schedule(lines, pcs, config.l1_prefetcher_degree)
+            if stride else None,
             core.l1, core.l2, core.insert_l1, core.train, cnt,
         )
         for (lines, pcs, ws), core, cnt in zip(streams, cores, cnts)
@@ -407,28 +408,6 @@ def _decode_streams(traces: Sequence[Trace], steps: int) -> Optional[list]:
     return streams
 
 
-def _prefetcher_name(prefetchers) -> str:
-    return prefetchers[0].name if prefetchers[0] is not None else "none"
-
-
-def _observe(obs, traces, prefetchers, core_triages, dram, engine, wall_start):
-    """``(session, run, sim_span)`` of an observed run, else Nones."""
-    session = obs if obs is not None else get_session()
-    if session is None:
-        return None, None, None
-    workload = "+".join(t.name for t in traces)
-    name = _prefetcher_name(prefetchers)
-    run = session.begin_run(workload, name)
-    attach_observability(
-        run, [t for ts in core_triages for t in ts], dram=dram,
-        profiler=session.profiler,
-    )
-    sim_span = _open_sim_span(
-        session, run, engine, workload, name, t=wall_start
-    )
-    return session, run, sim_span
-
-
 def _sample_epoch(
     session, run, dram, config, core_triages, prev_store, llc_data_ways,
     loads, epoch_bytes, cycles,
@@ -468,23 +447,12 @@ def _finish_run(
     degree, wall_start, engine, session, run, sim_span, dram, phases,
 ) -> MultiCoreResult:
     """Per-core results, manifest and observability close-out of a run."""
+    prefetcher = prefetchers[0].name if prefetchers[0] is not None else "none"
     per_core_results = []
     for core, (pf, triages) in enumerate(zip(prefetchers, core_triages)):
-        metadata_llc = sum(t.store.llc_accesses for t in triages)
-        if isinstance(pf, HybridPrefetcher):
-            metadata_dram = pf.total_metadata_dram_accesses
-        else:
-            metadata_dram = pf.metadata_dram_accesses if pf is not None else 0
+        metadata_llc, metadata_dram = _metadata_counts(pf, triages)
         core_counters = counters[core]
-        partition_history = []
-        final_capacity = None
-        for triage in triages:
-            if triage.controller is not None:
-                partition_history = [
-                    d.capacity_bytes for d in triage.controller.decisions
-                ]
-            if not triage.store.unbounded:
-                final_capacity = triage.metadata_capacity_bytes
+        partition_history, final_capacity = _partition_outcome(triages)
         per_core_results.append(
             SimulationResult(
                 workload=traces[core].name,
@@ -507,7 +475,7 @@ def _finish_run(
     manifest = build_manifest(
         kind="multi",
         workloads=[t.name for t in traces],
-        prefetcher=_prefetcher_name(prefetchers),
+        prefetcher=prefetcher,
         config=config,
         seeds=[t.metadata.get("seed") for t in traces],
         trace_length=accesses_per_core,
@@ -519,7 +487,7 @@ def _finish_run(
     )
     result = MultiCoreResult(
         workloads=[t.name for t in traces],
-        prefetcher=_prefetcher_name(prefetchers),
+        prefetcher=prefetcher,
         per_core=per_core_results,
         traffic=traffic,
         manifest=manifest,
@@ -578,8 +546,8 @@ def _simulate_multicore_scalar(
     l1pfs = [make_l1_prefetcher(config) for _ in range(n_cores)]
 
     session, run, sim_span = _observe(
-        obs, traces, prefetchers, core_triages, dram, "analytic-multi",
-        wall_start,
+        obs, "+".join(t.name for t in traces), prefetchers[0], all_triages,
+        dram, "analytic-multi", wall_start,
     )
     prev_store = [(0, 0) for _ in range(n_cores)]  # (lookups, hits) per core
 

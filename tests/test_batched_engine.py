@@ -1,21 +1,23 @@
-"""Differential and wiring tests for the batched simulation engine.
+"""Differential and wiring tests for the flat single-core driver.
 
-``repro.sim.batched`` promises *bit-identical* results to the scalar
-engine in :mod:`repro.sim.single_core` -- same counters, cycles,
-traffic, metadata accounting, partition history and KPIs.  These tests
-pin that contract:
+:func:`repro.sim.single_core.simulate` runs on the flat struct-of-arrays
+engine and promises *bit-identical* results to the object-graph loop
+``single_core._simulate_scalar`` (the reference here) -- same counters,
+cycles, traffic, metadata accounting, partition history and KPIs.
+These tests pin that contract:
 
 * a hypothesis differential over adversarial little traces (small
-  address alphabets force back-to-back repeats, the case the batched
-  engine handles with its run-length L1 streak path),
-* the engine-selection plumbing (``engine=`` argument, ``REPRO_ENGINE``
-  env knob, warn-once fallback for junk values),
-* the bail-to-scalar fallback for configs outside the fast path, and
-* warm-cache separation: batched results may never be served from a
-  memo or disk entry produced by a different engine.
+  address alphabets force back-to-back repeats, the case the flat
+  driver handles with its run-length L1 streak path),
+* the bail-out to the object-graph loop for inputs outside the flat
+  model (a non-LRU LLC, addresses beyond int64), and the object
+  engine's own errors for inputs neither driver runs, and
+* cache-key stability: result caches written before the engine knob
+  was removed stay addressable.
 
-A golden-replay leg under the batched engine lives in
-``test_golden_figures.py`` next to the scalar one.
+The default golden replays cover the flat driver; a replay of the
+fig05 golden through the object-graph reference lives in
+``test_golden_figures.py``.
 """
 
 from __future__ import annotations
@@ -25,13 +27,12 @@ from dataclasses import asdict, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import config
 from repro.cache import keys as cache_keys
 from repro.core.triage import TriageConfig
 from repro.experiments import common
-from repro.sim.batched import _bail_reason, simulate_batched
+from repro.sim.batched import _bail_reason
 from repro.sim.config import MachineConfig
-from repro.sim.single_core import simulate
+from repro.sim.single_core import _simulate_scalar, simulate
 from repro.workloads.base import Trace
 from repro.workloads.regular import stream_trace
 
@@ -98,10 +99,9 @@ def test_batched_matches_scalar_bit_identical(spec_name, trace, warm_frac):
         epoch_accesses=40,  # tiny epochs: boundaries land mid-streak
         warmup_accesses=warmup,
     )
-    scalar = simulate(trace, common.make_spec(spec_name), engine="analytic",
-                      **kwargs)
-    batched = simulate_batched(trace, common.make_spec(spec_name), **kwargs)
-    assert result_summary(batched) == result_summary(scalar)
+    scalar = _simulate_scalar(trace, common.make_spec(spec_name), **kwargs)
+    flat = simulate(trace, common.make_spec(spec_name), **kwargs)
+    assert result_summary(flat) == result_summary(scalar)
 
 
 def test_batched_matches_scalar_on_real_trace():
@@ -109,13 +109,13 @@ def test_batched_matches_scalar_on_real_trace():
     # the segment driver (no-repeat bulk path) is exercised end to end.
     trace = common.get_trace("mcf", 8_000)
     for spec_name in ("bo", "triage_512kb"):
-        scalar = simulate(trace, common.make_spec(spec_name),
-                          machine=common.MACHINE, warmup_accesses=2_000,
-                          engine="analytic")
-        batched = simulate_batched(trace, common.make_spec(spec_name),
-                                   machine=common.MACHINE,
-                                   warmup_accesses=2_000)
-        assert result_summary(batched) == result_summary(scalar)
+        scalar = _simulate_scalar(trace, common.make_spec(spec_name),
+                                  machine=common.MACHINE,
+                                  warmup_accesses=2_000)
+        flat = simulate(trace, common.make_spec(spec_name),
+                        machine=common.MACHINE, warmup_accesses=2_000)
+        assert result_summary(flat) == result_summary(scalar)
+        assert flat.manifest.extra["engine"] == "batched"
 
 
 def test_single_core_batched_survives_resize_to_zero():
@@ -127,47 +127,20 @@ def test_single_core_batched_survives_resize_to_zero():
         dynamic=True, capacities=(0, 8 * 1024, 16 * 1024),
         epoch_accesses=1_000, partition_warmup_epochs=0,
     )
-    batched = simulate(trace, dyn, engine="batched", **kwargs)
-    scalar = simulate(trace, dyn, engine="analytic", **kwargs)
-    assert batched == scalar
-    assert 0 in batched.partition_history
+    flat = simulate(trace, dyn, **kwargs)
+    scalar = _simulate_scalar(trace, dyn, **kwargs)
+    assert flat == scalar
+    assert 0 in flat.partition_history
 
 
-# -- engine selection --------------------------------------------------------
-
-
-def test_simulate_engine_argument_dispatches(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    trace = common.get_trace("gcc_166", 2_000)
-    via_arg = simulate(trace, "bo", machine=common.MACHINE, engine="batched")
-    direct = simulate_batched(trace, "bo", machine=common.MACHINE)
-    assert result_summary(via_arg) == result_summary(direct)
-
-
-def test_simulate_rejects_unknown_engine():
-    trace = common.get_trace("gcc_166", 500)
-    with pytest.raises(ValueError, match="unknown engine"):
-        simulate(trace, None, machine=common.MACHINE, engine="vectorised")
-
-
-def test_engine_env_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert config.engine_env() == "analytic"
-    monkeypatch.setenv("REPRO_ENGINE", "batched")
-    assert config.engine_env() == "batched"
-    monkeypatch.setenv("REPRO_ENGINE", " Batched ")
-    assert config.engine_env() == "batched"  # trimmed + lowercased
-
-
-def test_engine_env_invalid_warns_once_and_falls_back(monkeypatch, capsys):
-    bogus = "warp-drive"
-    monkeypatch.setenv("REPRO_ENGINE", bogus)
-    config.forget_warnings("env")
-    assert config.engine_env() == "analytic"
-    assert "REPRO_ENGINE" in capsys.readouterr().err
-    # Second read: warn-once, silent fallback.
-    assert config.engine_env() == "analytic"
-    assert capsys.readouterr().err == ""
+def test_zero_epoch_length_closes_an_epoch_per_access():
+    # A non-positive epoch length resolves every access as its own
+    # epoch on both drivers (the flat segment driver used to spin).
+    trace = common.get_trace("mcf", 300)
+    kwargs = dict(machine=common.MACHINE, epoch_accesses=0, warmup_accesses=50)
+    flat = simulate(trace, "bo", **kwargs)
+    scalar = _simulate_scalar(trace, "bo", **kwargs)
+    assert result_summary(flat) == result_summary(scalar)
 
 
 # -- bail-to-scalar fallback -------------------------------------------------
@@ -182,43 +155,72 @@ def test_bail_reasons():
 def test_batched_bails_to_scalar_for_non_lru_llc():
     srrip = replace(common.MACHINE, llc_policy="srrip")
     trace = common.get_trace("gcc_166", 2_000)
-    fell_back = simulate_batched(trace, "bo", machine=srrip)
-    scalar = simulate(trace, "bo", machine=srrip, engine="analytic")
+    fell_back = simulate(trace, "bo", machine=srrip)
+    scalar = _simulate_scalar(trace, "bo", machine=srrip)
     assert result_summary(fell_back) == result_summary(scalar)
+    assert fell_back.manifest.extra["engine"] == "analytic"
+
+
+def test_addresses_beyond_int64_bail_to_scalar():
+    big = 1 << 70
+    trace = Trace(
+        name="wide", pcs=[0x400000] * 6,
+        addrs=[big, 64, big + 64, 128, big, 64], writes=[False] * 6,
+    )
+    fell_back = simulate(trace, "bo", machine=common.MACHINE)
+    scalar = _simulate_scalar(trace, "bo", machine=common.MACHINE)
+    assert result_summary(fell_back) == result_summary(scalar)
+    assert fell_back.manifest.extra["engine"] == "analytic"
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"l1_prefetcher": "markov"}, "unknown l1 prefetcher 'markov'"),
+        ({"l2_size": 3_000}, "L2_0: geometry 3000B/8-way/64B yields 5 sets"),
+        (
+            {"llc_size_per_core": 48 * 1024},
+            "LLC: geometry 49152B/16-way/64B yields 48 sets",
+        ),
+    ],
+    ids=["l1_prefetcher", "l2_sets", "llc_sets"],
+)
+def test_flat_raises_the_object_engine_errors(overrides, message):
+    bad = replace(common.MACHINE, **overrides)
+    trace = common.get_trace("gcc_166", 500)
+    for driver in (simulate, _simulate_scalar):
+        with pytest.raises(ValueError, match=message):
+            driver(trace, "bo", machine=bad)
 
 
 def test_batched_rejects_multicore_config():
     trace = common.get_trace("gcc_166", 500)
     with pytest.raises(ValueError, match="single-core"):
-        simulate_batched(trace, None, machine=MachineConfig.multi_core(4))
+        simulate(trace, None, machine=MachineConfig.multi_core(4))
 
 
-# -- warm-cache separation ---------------------------------------------------
+# -- cache-key stability ----------------------------------------------------
+#
+# Digests computed before the single-core engine knob was removed (with
+# the knob unset, its default added no key entry).  Result caches on
+# disk from that code must stay addressable, so these may only change
+# with a deliberate KEY_SCHEMA_VERSION or package-version bump.
 
 
-def test_spec_fingerprint_folds_engine(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    default = cache_keys.spec_fingerprint("bo")
-    assert "engine" not in default  # analytic keys stay byte-stable
-    batched = cache_keys.spec_fingerprint("bo", engine="batched")
-    assert batched["engine"] == "batched"
-    assert {k: v for k, v in batched.items() if k != "engine"} == default
-    # Ambient env resolves identically to the explicit argument.
-    monkeypatch.setenv("REPRO_ENGINE", "batched")
-    assert cache_keys.spec_fingerprint("bo") == batched
-
-
-def test_run_single_memo_separates_engines(monkeypatch):
-    # The same cell under two engines must be two memo entries -- a
-    # batched run may never be answered with a cached analytic result
-    # (and vice versa), even though their values agree by contract.
-    common.clear_caches()
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    common.run_single("gcc_166", "none", n=1_000)
-    keys_analytic = set(common._RUN_CACHE)
-    monkeypatch.setenv("REPRO_ENGINE", "batched")
-    common.run_single("gcc_166", "none", n=1_000)
-    assert len(common._RUN_CACHE) == len(keys_analytic) + 1
-    (new_key,) = set(common._RUN_CACHE) - keys_analytic
-    assert new_key[-1] == "batched"
-    common.clear_caches()
+def test_spec_fingerprint_and_run_key_digests_are_pinned():
+    assert cache_keys.spec_fingerprint("triage_1mb") == {
+        "kind": "name", "name": "triage_1mb",
+    }
+    assert cache_keys.stable_hash(cache_keys.spec_fingerprint("triage_1mb")) == (
+        "93855142fd0ddb2fcc7e23391651a5ef76b902a074402a0232946b9d71d7a978"
+    )
+    assert common._run_single_disk_key(
+        "spec", "mcf", "triage_1mb", 60_000, 1, 1, common.MACHINE, True
+    ) == "2b418bf7433a5696536e90ef32d4b8c94917aa2d1ed9f73e03e9b1f5a055fb7b"
+    config_fp = cache_keys.spec_fingerprint(
+        TriageConfig(metadata_capacity=512 * 1024)
+    )
+    assert cache_keys.run_key(
+        "sweep", {"trace": "mcf", "n": 10_000}, config_fp,
+        MachineConfig.single_core(), degree=2, warmup=1_000,
+    ) == "89c7cdf0d1f65d30e5e14436519854e5b781fd78f530918d58da500eb9d555d2"

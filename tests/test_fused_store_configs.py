@@ -1,11 +1,11 @@
-"""The batched engine's fused Triage/Triangel trainers on every store variant.
+"""The flat driver's fused Triage/Triangel trainers on every store variant.
 
 The fused trainers reach the metadata store only through its methods,
-so store variants the engine used to hand to ``observe`` -- the LRU
+so store variants the flat engine used to hand to ``observe`` -- the LRU
 ablation, the Trimma-style non-uniform index, reuse tracking,
 confidence-off updates, Triangel over Hawkeye -- now run fused as well.
-Each must match the object engine: the full result, and the store and
-sample-table state the run leaves behind.
+Each must match the object-graph reference ``_simulate_scalar``: the
+full result, and the store and sample-table state the run leaves behind.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 from repro.core.triage import TriageConfig, TriagePrefetcher
 from repro.experiments import common
 from repro.prefetchers.triangel import TriangelConfig, TriangelPrefetcher
-from repro.sim.single_core import simulate
+from repro.sim.single_core import _simulate_scalar, simulate
 from repro.workloads.irregular import chain_trace
 from tests.test_batched_engine import result_summary
 
@@ -83,22 +83,23 @@ def trace():
 
 
 def _refuse_observe(*_args, **_kwargs):
-    raise AssertionError("the batched engine fell back to observe()")
+    raise AssertionError("the flat driver fell back to observe()")
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_fused_trainer_matches_object_engine(trace, name, monkeypatch):
     runs = {}
-    for engine in ("analytic", "batched"):
+    for engine, driver in (("analytic", _simulate_scalar), ("batched", simulate)):
         if engine == "batched":
             # Prove the fused trainer ran: observe() must never be called.
             monkeypatch.setattr(TriagePrefetcher, "observe", _refuse_observe)
             monkeypatch.setattr(TriangelPrefetcher, "observe", _refuse_observe)
         pf = _make(CONFIGS[name]())
-        result = simulate(
+        result = driver(
             trace, pf, machine=common.MACHINE, warmup_accesses=2_000,
-            epoch_accesses=700, engine=engine,
+            epoch_accesses=700,
         )
+        assert result.manifest.extra["engine"] == engine
         runs[engine] = (result_summary(result), _store_state(pf))
     assert runs["batched"] == runs["analytic"]
     store = runs["batched"][1]["counters"]

@@ -33,6 +33,7 @@ from repro.experiments import ext_triangel_headtohead as ext_triangel
 from repro.experiments import fig05_irregular_speedup as fig05
 from repro.experiments import fig11_offchip_comparison as fig11
 from repro.experiments import fig19_way_allocation as fig19
+from repro.sim.single_core import _simulate_scalar
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
@@ -116,14 +117,25 @@ def test_figure_reproduces_golden(name):
     assert_matches_golden(summary, golden, name)
 
 
-def test_fig05_reproduces_golden_under_batched_engine(monkeypatch):
-    # The batched engine must replay the *same* golden as the scalar
-    # engine -- bit-identical KPIs are its contract, so it gets no
-    # golden file of its own.
+def test_fig05_reproduces_golden_under_object_graph_reference(monkeypatch):
+    # The goldens above replay through the flat single-core driver; its
+    # object-graph reference must replay the *same* golden --
+    # bit-identical results are the contract between the two, so the
+    # reference gets no golden file of its own.  Serial, so every cell
+    # runs in this process under the patched driver.
     golden = json.loads((GOLDEN_DIR / "fig05.json").read_text())
-    monkeypatch.setenv("REPRO_ENGINE", "batched")
+    runs = []
+
+    def reference(*args, **kwargs):
+        result = _simulate_scalar(*args, **kwargs)
+        runs.append(result.manifest.extra["engine"])
+        return result
+
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    monkeypatch.setattr(common, "simulate", reference)
     summary = compute_summary(FIGURES["fig05"])
-    assert_matches_golden(summary, golden, "fig05[batched]")
+    assert runs and set(runs) == {"analytic"}
+    assert_matches_golden(summary, golden, "fig05[object-graph]")
 
 
 def regenerate() -> None:

@@ -11,7 +11,8 @@ fixed cases on real mixes and on the configurations that must take the
 object-graph path.
 
 A 1-core relation test pins ``simulate_multicore([t]) == simulate(t)``
-on the fields the two entry points agree on.
+on the fields the two entry points agree on, for the flat single-core
+driver and its object-graph reference ``_simulate_scalar``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.prefetchers.hybrid import HybridPrefetcher
 from repro.prefetchers.triangel import TriangelConfig
 from repro.sim.config import MachineConfig
 from repro.sim.multi_core import _simulate_multicore_scalar, simulate_multicore
-from repro.sim.single_core import simulate
+from repro.sim.single_core import _simulate_scalar, simulate
 from repro.workloads import mixes
 from repro.workloads.base import Trace
 from repro.workloads.irregular import chain_trace
@@ -191,7 +192,7 @@ def test_wraparound_with_unequal_lengths_continues_stride_schedule():
         stream_trace("s", 300, seed=3, n_streams=2, arena=60),
         real_mix(1, seed=5, n=900)[0],
     ]
-    simulate(traces[0], None, machine=common.MACHINE, engine="batched")
+    simulate(traces[0], None, machine=common.MACHINE)
     assert getattr(traces[0], "_batched_l1pf", None) is not None
     flat, scalar = both(
         traces, SPECS["triage"], machine=machine(2),
@@ -284,7 +285,7 @@ def test_runs_give_back_partition_hooks():
     trace = real_mix(1, seed=37, n=400)[0]
     simulate_multicore([trace], pf, machine=machine(1))
     assert pf.on_partition_change is own_hook
-    simulate(trace, pf, machine=machine(1), engine="batched")
+    simulate(trace, pf, machine=machine(1))
     assert pf.on_partition_change is own_hook
 
 
@@ -371,15 +372,20 @@ def relation_fields(r):
     }
 
 
-@pytest.mark.parametrize("engine", ["analytic", "batched"])
+@pytest.mark.parametrize(
+    "driver",
+    [
+        pytest.param(_simulate_scalar, id="analytic"),
+        pytest.param(simulate, id="batched"),
+    ],
+)
 @pytest.mark.parametrize("warmup", [0, 2_000])
 @pytest.mark.parametrize("spec_name", ["none", "triage_dynamic", "triangel"])
-def test_one_core_multicore_equals_single_core(engine, warmup, spec_name):
+def test_one_core_multicore_equals_single_core(driver, warmup, spec_name):
     trace = common.get_trace("mcf", 8_000)
     kwargs = dict(machine=common.MACHINE, epoch_accesses=1_000)
-    single = simulate(
-        trace, common.make_spec(spec_name), warmup_accesses=warmup,
-        engine=engine, **kwargs,
+    single = driver(
+        trace, common.make_spec(spec_name), warmup_accesses=warmup, **kwargs,
     )
     multi = simulate_multicore(
         [trace], common.make_spec(spec_name),
@@ -396,9 +402,8 @@ def test_one_core_relation_property(traces, warmup):
     (trace,) = traces
     warmup = min(warmup, len(trace))
     kwargs = dict(machine=machine(1), epoch_accesses=16)
-    single = simulate(
-        trace, SPECS["triage_dynamic"](), warmup_accesses=warmup,
-        engine="analytic", **kwargs,
+    single = _simulate_scalar(
+        trace, SPECS["triage_dynamic"](), warmup_accesses=warmup, **kwargs,
     )
     multi = simulate_multicore(
         [trace], SPECS["triage_dynamic"], accesses_per_core=len(trace) - warmup,

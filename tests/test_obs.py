@@ -23,7 +23,7 @@ from repro.obs.registry import (
 from repro.obs.report import load_run_dir, render_report
 from repro.obs.sampler import EpochSampler
 from repro.sim.config import MachineConfig
-from repro.sim.single_core import simulate
+from repro.sim.single_core import _simulate_scalar, simulate
 from repro.workloads.irregular import chain_trace
 
 KB = 1024
@@ -291,6 +291,21 @@ class TestProfiling:
         table = timer.table()
         assert "l2_stream" in table and "trace_gen" in table
 
+    @pytest.mark.parametrize("host", ["l2_prefetcher", "batched_core"])
+    def test_nested_metadata_store_is_not_double_counted(self, host):
+        timer = PhaseTimer()
+        timer.add(host, 2.0)
+        timer.add("metadata_store", 1.0)
+        assert timer.seconds["metadata_store"] == 1.0
+        assert timer.total_seconds == 2.0
+        lines = timer.table().splitlines()
+        assert lines[-1] == "total: 2.000s"
+        host_row = next(i for i, line in enumerate(lines) if line.startswith(host))
+        assert "100.0%" in lines[host_row]
+        sub_row = lines[host_row + 1]
+        assert sub_row.startswith("  metadata_store")
+        assert "%" not in sub_row
+
 
 # ---------------------------------------------------------------------------
 # simulator integration
@@ -361,13 +376,27 @@ class TestSimulatorIntegration:
         drain_run_log()
 
     def test_profile_phase_attribution(self):
+        # The object-graph driver times the demand stream, the
+        # prefetcher and (inside it) the metadata store.
         trace = small_trace(n=6_000)
         session = obs.ObsSession(profile=True)
-        simulate(trace, triage_cfg(), machine=MACHINE, obs=session)
+        _simulate_scalar(trace, triage_cfg(), machine=MACHINE, obs=session)
         phases = {name for name, *_ in session.profiler.sorted_phases()}
         assert "l2_stream" in phases
         assert "l2_prefetcher" in phases
         assert "metadata_store" in phases
+        assert "batched_core" not in phases
+        drain_run_log()
+
+    def test_profile_phase_attribution_flat_driver(self):
+        # The flat driver files its whole loop, fused trainers included,
+        # under one phase.
+        trace = small_trace(n=6_000)
+        session = obs.ObsSession(profile=True)
+        simulate(trace, triage_cfg(), machine=MACHINE, obs=session)
+        phases = {name for name, *_ in session.profiler.sorted_phases()}
+        assert phases == {"batched_core"}
+        assert session.profiler.calls["batched_core"] == len(trace)
         drain_run_log()
 
 

@@ -5,7 +5,8 @@ The differential half pins the degeneracy contract from
 ``degree=1`` and Hawkeye replacement, Triangel must issue a
 **bit-identical** prefetch stream to Triage -- first at the candidate
 level over shared synthetic streams, then end to end through
-``simulate()`` with the actual ``hierarchy.prefetch`` calls recorded.
+the object-graph driver with the actual ``hierarchy.prefetch`` calls
+recorded (and the flat driver agreeing with it).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.prefetchers.triangel import (
     TriangelConfig,
     TriangelPrefetcher,
 )
-from repro.sim.single_core import simulate
+from repro.sim.single_core import _simulate_scalar, simulate
 from repro.workloads import spec
 
 KB = 1024
@@ -198,7 +199,11 @@ def test_degenerate_candidate_stream_bit_identical():
 
 
 def test_degenerate_end_to_end_prefetch_stream_bit_identical(monkeypatch):
-    """Full ``simulate()``: the recorded hierarchy.prefetch calls match."""
+    """Full run: the recorded hierarchy.prefetch calls match.
+
+    The calls are recorded on the object-graph driver, the one that
+    walks ``CacheHierarchy``; the flat driver must agree with it.
+    """
     real = CacheHierarchy.prefetch
     streams = {}
 
@@ -222,9 +227,12 @@ def test_degenerate_end_to_end_prefetch_stream_bit_identical(monkeypatch):
     for tag, config in configs.items():
         streams[tag] = []
         monkeypatch.setattr(CacheHierarchy, "prefetch", recording(tag))
-        results[tag] = simulate(
+        results[tag] = _simulate_scalar(
             trace, config, machine=machine, warmup_accesses=2000
         )
+        assert simulate(
+            trace, config, machine=machine, warmup_accesses=2000
+        ) == results[tag]
     assert streams["triangel"] == streams["triage"]
     assert len(streams["triage"]) > 0
     a, b = results["triage"], results["triangel"]

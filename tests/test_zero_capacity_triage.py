@@ -3,8 +3,9 @@
 With a 0-byte metadata store every lookup misses, so Triage (and
 Triangel) never issues a prefetch and takes no LLC ways; the
 simulated machine must behave exactly as with no L2 prefetcher.
-Counters, cycles and off-chip traffic must match on both single-core
-engines and on ``simulate_multicore``.  (The store still counts its
+Counters, cycles and off-chip traffic must match on the flat
+single-core driver, on its object-graph reference and on
+``simulate_multicore``.  (The store still counts its
 lookups, so ``metadata_llc_accesses`` is the one field that differs.)
 """
 
@@ -19,7 +20,7 @@ from repro.experiments import common
 from repro.prefetchers.triangel import TriangelConfig
 from repro.sim.config import MachineConfig
 from repro.sim.multi_core import simulate_multicore
-from repro.sim.single_core import simulate
+from repro.sim.single_core import _simulate_scalar, simulate
 from repro.workloads import mixes, spec
 
 ZERO = {
@@ -43,17 +44,19 @@ def mcf():
     )
 
 
-@pytest.mark.parametrize("engine", ["analytic", "batched"])
+@pytest.mark.parametrize(
+    "driver",
+    [
+        pytest.param(_simulate_scalar, id="analytic"),
+        pytest.param(simulate, id="batched"),
+    ],
+)
 @pytest.mark.parametrize("name", sorted(ZERO))
-def test_zero_capacity_single_core_equals_no_prefetcher(mcf, engine, name):
+def test_zero_capacity_single_core_equals_no_prefetcher(mcf, driver, name):
     warmup = len(mcf) // 4
-    none = simulate(
-        mcf, None, machine=common.MACHINE, warmup_accesses=warmup,
-        engine=engine,
-    )
-    zero = simulate(
-        mcf, ZERO[name](), machine=common.MACHINE, warmup_accesses=warmup,
-        engine=engine,
+    none = driver(mcf, None, machine=common.MACHINE, warmup_accesses=warmup)
+    zero = driver(
+        mcf, ZERO[name](), machine=common.MACHINE, warmup_accesses=warmup
     )
     assert zero.counters.accesses == len(mcf) - warmup
     assert zero.counters.prefetches_issued == 0
